@@ -15,8 +15,10 @@ use uwb_adc::Quantizer;
 use uwb_bench::{banner, EXPERIMENT_SEED};
 use uwb_dsp::Complex;
 use uwb_phy::packet::{decode_payload_bits, reference_payload_bits};
-use uwb_phy::{Gen2Config, Gen2Receiver, Gen2Transmitter};
-use uwb_platform::link::{run_ber_fast, LinkScenario};
+use uwb_phy::{Gen2Config, Gen2Receiver, Gen2Transmitter, RxState};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::metrics::ErrorCounter;
 use uwb_platform::report::{format_rate, Table};
 use uwb_rf::TunableNotch;
@@ -34,6 +36,8 @@ struct AdcWorker {
     rx: Gen2Receiver,
     quantizer: Quantizer,
     notch: TunableNotch,
+    state: RxState,
+    stats: Vec<Complex>,
 }
 
 impl AdcWorker {
@@ -46,6 +50,8 @@ impl AdcWorker {
             rx: Gen2Receiver::new(config.clone()).expect("rx"),
             quantizer: Quantizer::new(bits, 1.0),
             notch,
+            state: RxState::new(),
+            stats: Vec::new(),
         }
     }
 }
@@ -102,10 +108,14 @@ fn interferer_ber(
             }
 
             let slot0_start = burst.slot0_center - w.tx.pulse().len() / 2;
-            let stats = w
-                .rx
-                .payload_statistics_known_timing(&digitized, slot0_start, payload_len);
-            if let Ok(decoded) = decode_payload_bits(&stats, payload_len, &w.config) {
+            w.rx.payload_statistics_predigitized_with(
+                &w.rx.digitize(&digitized),
+                slot0_start,
+                payload_len,
+                &mut w.state,
+                &mut w.stats,
+            );
+            if let Ok(decoded) = decode_payload_bits(&w.stats, payload_len, &w.config) {
                 counter.add_bits(&reference_payload_bits(&payload), &decoded);
             }
         },
@@ -135,11 +145,15 @@ fn main() {
             preamble_repeats: 2,
             ..Gen2Config::nominal_100mbps()
         };
-        run_ber_fast(
+        run_ber_fast_streamed_tuned(
             &LinkScenario::awgn(config, e, EXPERIMENT_SEED),
             32,
+            DEFAULT_STREAM_BLOCK,
             target_errors,
             max_bits,
+            TrialBudget::default(),
+            None,
+            None,
         )
     };
     let mut t1 = Table::new(vec!["ADC bits", "BER (noise-limited)", "vs 8-bit"]);

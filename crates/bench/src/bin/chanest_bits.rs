@@ -8,7 +8,9 @@
 use uwb_bench::{banner, EXPERIMENT_SEED};
 use uwb_phy::chanest::ChannelEstimate;
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_fast, LinkScenario};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::report::{format_rate, Table};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
 use uwb_sim::{Rand, SampleRate};
@@ -35,6 +37,21 @@ fn main() {
 
     // --- Link BER vs estimate bits ---
     let ebn0 = 8.0;
+    let cm3_ber = |cfg: Gen2Config| {
+        run_ber_fast_streamed_tuned(
+            &LinkScenario {
+                channel: ChannelModel::Cm3,
+                ..LinkScenario::awgn(cfg, ebn0, EXPERIMENT_SEED)
+            },
+            32,
+            DEFAULT_STREAM_BLOCK,
+            60,
+            120_000,
+            TrialBudget::default(),
+            None,
+            None,
+        )
+    };
     let mut table = Table::new(vec!["estimate bits", "estimator NMSE", "BER on CM3"]);
     let mut rows = Vec::new();
     for bits in [1u32, 2, 3, 4, 6] {
@@ -43,15 +60,7 @@ fn main() {
             preamble_repeats: 2,
             ..Gen2Config::nominal_100mbps()
         };
-        let c = run_ber_fast(
-            &LinkScenario {
-                channel: ChannelModel::Cm3,
-                ..LinkScenario::awgn(cfg, ebn0, EXPERIMENT_SEED)
-            },
-            32,
-            60,
-            120_000,
-        );
+        let c = cm3_ber(cfg);
         rows.push((bits, c.rate()));
         table.row(vec![
             bits.to_string(),
@@ -65,15 +74,7 @@ fn main() {
         preamble_repeats: 2,
         ..Gen2Config::nominal_100mbps()
     };
-    let float_ber = run_ber_fast(
-        &LinkScenario {
-            channel: ChannelModel::Cm3,
-            ..LinkScenario::awgn(cfg_float, ebn0, EXPERIMENT_SEED)
-        },
-        32,
-        60,
-        120_000,
-    );
+    let float_ber = cm3_ber(cfg_float);
     table.row(vec![
         "float".to_string(),
         "0".to_string(),

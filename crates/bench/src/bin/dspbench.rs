@@ -24,7 +24,7 @@
 //!   "schema": "uwb-dspbench-v1",
 //!   "kernels_us": { "<name>": <median-microseconds-per-call>, ... },
 //!   "throughput_tps": { "full_path": <trials/s>, "fast_path": <trials/s>,
-//!                       "full_path_batched": <trials/s>, "fast_path_batched": <trials/s> },
+//!                       "fast_path_batched": <trials/s> },
 //!   "stage_ns_per_trial": { "stage:<name>": <ns-per-trial>, ... },
 //!   "fft_plans_built": <count>
 //! }
@@ -205,12 +205,11 @@ fn run_kernels() -> Vec<Kernel> {
     out
 }
 
-/// The four end-to-end throughput figures plus the loop-wide FFT-plan
+/// The three end-to-end throughput figures plus the loop-wide FFT-plan
 /// count and the full-path stage profile.
 struct Throughput {
     full_tps: f64,
     fast_tps: f64,
-    full_batched_tps: f64,
     fast_batched_tps: f64,
     plans_built: u64,
     telemetry: uwb_obs::Telemetry,
@@ -220,8 +219,8 @@ struct Throughput {
 /// (AWGN, preamble_repeats = 2, Eb/N0 = 6 dB, 24-byte payload) — one
 /// worker driven directly, exactly what each Monte-Carlo thread executes.
 ///
-/// Four loops: the unbatched full and fast (BER-only) paths, then the same
-/// two on the batched stage-sweep runtime at `UWB_BATCH` (default
+/// Three loops: the unbatched full and fast (BER-only) paths, then the fast
+/// path on the batched stage-sweep runtime at `UWB_BATCH` (default
 /// `DEFAULT_BATCH`) trials per batch. `plans_built` counts the FFT plans
 /// constructed over the whole section *including* warm-up — in the steady state this must equal the
 /// number of distinct transform sizes the link path touches (each size
@@ -257,46 +256,21 @@ fn run_throughput(trials: u64) -> Throughput {
     // Fast path (known-timing BER only).
     let mut counter = ErrorCounter::default();
     let mut rng = Rand::for_trial(scenario.seed, 0);
-    worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
+    worker.trial_ber_streamed(&scenario, 24, DEFAULT_STREAM_BLOCK, &mut rng, &mut counter);
     let t0 = Instant::now();
     for t in 0..trials {
         let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
+        worker.trial_ber_streamed(&scenario, 24, DEFAULT_STREAM_BLOCK, &mut rng, &mut counter);
     }
     let fast_tps = trials as f64 / t0.elapsed().as_secs_f64();
 
-    // Batched stage-sweep paths: `UWB_BATCH` (default [`DEFAULT_BATCH`])
-    // consecutive trials per sub-batch — the per-worker loop
-    // `MonteCarlo::run_batched` executes. The pinned baseline is generated
-    // with `UWB_BATCH` unset; the env override exists for B-sweep
+    // Batched stage-sweep fast path: `UWB_BATCH` (default
+    // [`DEFAULT_BATCH`]) consecutive trials per sub-batch — the per-worker
+    // loop `MonteCarlo::run_batched` executes. The pinned baseline is
+    // generated with `UWB_BATCH` unset; the env override exists for B-sweep
     // measurements (see EXPERIMENTS.md).
     let batch = resolve_batch(None);
     let mut scratch = BatchScratch::new();
-    let mut outcome = LinkOutcome::default();
-    worker.trial_batch_full_streamed(
-        &scenario,
-        24,
-        DEFAULT_STREAM_BLOCK,
-        0..batch.min(trials.max(1)),
-        &mut scratch,
-        &mut outcome,
-    );
-    let t0 = Instant::now();
-    let mut lo = 0;
-    while lo < trials {
-        let hi = (lo + batch).min(trials);
-        worker.trial_batch_full_streamed(
-            &scenario,
-            24,
-            DEFAULT_STREAM_BLOCK,
-            lo..hi,
-            &mut scratch,
-            &mut outcome,
-        );
-        lo = hi;
-    }
-    let full_batched_tps = trials as f64 / t0.elapsed().as_secs_f64();
-
     let mut counter = ErrorCounter::default();
     worker.trial_batch_ber_streamed(
         &scenario,
@@ -325,7 +299,6 @@ fn run_throughput(trials: u64) -> Throughput {
     Throughput {
         full_tps,
         fast_tps,
-        full_batched_tps,
         fast_batched_tps,
         plans_built: fft_plans_built() - plans_before,
         telemetry,
@@ -349,10 +322,6 @@ fn render_json(
     s.push_str("  \"throughput_tps\": {\n");
     s.push_str(&format!("    \"full_path\": {:.1},\n", tp.full_tps));
     s.push_str(&format!("    \"fast_path\": {:.1},\n", tp.fast_tps));
-    s.push_str(&format!(
-        "    \"full_path_batched\": {:.1},\n",
-        tp.full_batched_tps
-    ));
     s.push_str(&format!(
         "    \"fast_path_batched\": {:.1}\n",
         tp.fast_batched_tps
@@ -380,10 +349,7 @@ fn render_json(
 fn metric_policy(key: &str) -> MetricPolicy {
     if key == "schema" || key == "fft_plans_built" || key.starts_with("stage:") {
         MetricPolicy::Skip
-    } else if matches!(
-        key,
-        "full_path" | "fast_path" | "full_path_batched" | "fast_path_batched"
-    ) {
+    } else if matches!(key, "full_path" | "fast_path" | "fast_path_batched") {
         MetricPolicy::InfoHigherBetter
     } else {
         MetricPolicy::Gate
@@ -443,10 +409,6 @@ fn main() -> ExitCode {
     }
     println!("{:<34} {:>10.1} trials/s (1 thread)", "full_path", tp.full_tps);
     println!("{:<34} {:>10.1} trials/s (1 thread)", "fast_path", tp.fast_tps);
-    println!(
-        "{:<34} {:>10.1} trials/s (1 thread, B={})",
-        "full_path_batched", tp.full_batched_tps, resolve_batch(None)
-    );
     println!(
         "{:<34} {:>10.1} trials/s (1 thread, B={})",
         "fast_path_batched", tp.fast_batched_tps, resolve_batch(None)

@@ -9,7 +9,9 @@
 use std::time::Duration;
 use uwb_bench::{banner, trace_arg, write_trace, EXPERIMENT_SEED};
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_fast_streamed, BerRun, LinkScenario};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, BerRun, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::metrics::bpsk_awgn_ber;
 use uwb_platform::report::{format_rate, stage_table, Table};
 use uwb_sim::montecarlo::resolve_threads;
@@ -23,6 +25,21 @@ fn format_cell(run: &BerRun) -> String {
         s.push('*');
     }
     s
+}
+
+/// One BER point on 32-byte payloads through the known-timing runner at the
+/// default block, batch width and thread count.
+fn ber_point(scenario: &LinkScenario, target_errors: u64, max_bits: u64) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        scenario,
+        32,
+        DEFAULT_STREAM_BLOCK,
+        target_errors,
+        max_bits,
+        TrialBudget::default(),
+        None,
+        None,
+    )
 }
 
 fn main() {
@@ -64,35 +81,33 @@ fn main() {
             "RAKE-8 + MLSE-3",
             "1-finger baseline",
         ]);
-        // Batched stage-sweep runner (`UWB_BATCH` wide): bit-identical to
-        // the unbatched fast runner on AWGN; multipath points use the
-        // streamed convolution, which agrees to numerical precision (see
-        // EXPERIMENTS.md for the value shift at the E5 re-baseline).
+        // Batched stage-sweep runner (`UWB_BATCH` wide), bit-identical for
+        // any batch width; multipath points use the streamed convolution,
+        // which agrees with whole-record FFT convolution to numerical
+        // precision (see EXPERIMENTS.md for the value shift at the E5
+        // re-baseline).
         for &ebn0 in &grid {
-            let rake = run_ber_fast_streamed(
+            let rake = ber_point(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(rake_cfg.clone(), ebn0, EXPERIMENT_SEED)
                 },
-                32,
                 target_errors,
                 max_bits,
             );
-            let mlse = run_ber_fast_streamed(
+            let mlse = ber_point(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(mlse_cfg.clone(), ebn0, EXPERIMENT_SEED)
                 },
-                32,
                 target_errors,
                 max_bits,
             );
-            let single = run_ber_fast_streamed(
+            let single = ber_point(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(single_cfg.clone(), ebn0, EXPERIMENT_SEED + 1)
                 },
-                32,
                 target_errors,
                 max_bits,
             );
@@ -136,9 +151,8 @@ fn main() {
     for &ebn0 in &[2.0, 3.0, 4.0, 5.0, 6.0] {
         let mut cells = vec![format!("{ebn0:.0}")];
         for cfg in [&uncoded_cfg, &k3_cfg, &k7_cfg] {
-            let run = run_ber_fast_streamed(
+            let run = ber_point(
                 &LinkScenario::awgn(cfg.clone(), ebn0, EXPERIMENT_SEED),
-                32,
                 target_errors,
                 max_bits,
             );

@@ -9,7 +9,9 @@
 
 use uwb_bench::{banner, EXPERIMENT_SEED};
 use uwb_phy::{Gen2Config, Gen2Transmitter, SpectralMonitor};
-use uwb_platform::link::{run_ber_fast, LinkScenario};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::report::{format_rate, stage_table, Table};
 use uwb_sim::{Interferer, Rand};
 
@@ -73,9 +75,21 @@ fn main() {
         ..jammed.clone()
     };
     let mut t2 = Table::new(vec!["condition", "BER", "stop", "engine"]);
-    let c_clean = run_ber_fast(&clean, 32, 60, 120_000);
-    let c_jam = run_ber_fast(&jammed, 32, 60, 120_000);
-    let c_notch = run_ber_fast(&notched, 32, 60, 120_000);
+    let ber = |sc: &LinkScenario| {
+        run_ber_fast_streamed_tuned(
+            sc,
+            32,
+            DEFAULT_STREAM_BLOCK,
+            60,
+            120_000,
+            TrialBudget::default(),
+            None,
+            None,
+        )
+    };
+    let c_clean = ber(&clean);
+    let c_jam = ber(&jammed);
+    let c_notch = ber(&notched);
     for (label, c) in [
         ("clean", &c_clean),
         ("CW interferer (+20 dB)", &c_jam),

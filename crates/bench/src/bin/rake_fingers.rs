@@ -8,7 +8,9 @@
 use uwb_bench::{banner, EXPERIMENT_SEED};
 use uwb_phy::power::PowerModel;
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_fast, LinkScenario};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::report::{format_rate, Table};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
 use uwb_sim::Rand;
@@ -47,14 +49,18 @@ fn main() {
                 preamble_repeats: 2,
                 ..Gen2Config::nominal_100mbps()
             };
-            let c = run_ber_fast(
+            let c = run_ber_fast_streamed_tuned(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(cfg.clone(), ebn0, EXPERIMENT_SEED)
                 },
                 32,
+                DEFAULT_STREAM_BLOCK,
                 60,
                 120_000,
+                TrialBudget::default(),
+                None,
+                None,
             );
             let rake_mw = model
                 .breakdown(&cfg)

@@ -21,8 +21,8 @@ use std::time::Instant;
 use uwb_bench::{banner, trace_arg, write_trace, EXPERIMENT_SEED};
 use uwb_phy::Gen2Config;
 use uwb_platform::link::{
-    run_ber_budgeted, run_packet, run_ber_fast_budgeted, run_ber_fast_streamed_budgeted,
-    LinkOutcome, LinkScenario, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
+    run_ber_budgeted, run_ber_fast_streamed_tuned, BerRun, LinkOutcome, LinkScenario, LinkWorker,
+    TrialBudget, DEFAULT_STREAM_BLOCK,
 };
 use uwb_platform::report::stage_table;
 
@@ -43,10 +43,25 @@ fn tps(v: Option<f64>) -> String {
     }
 }
 
+/// The known-timing runner on 24-byte payloads until 20 bit errors or
+/// 200 000 bits, at the default block, batch width, and `UWB_THREADS`.
+fn fast_run(scenario: &LinkScenario, budget: TrialBudget) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        scenario,
+        24,
+        DEFAULT_STREAM_BLOCK,
+        20,
+        200_000,
+        budget,
+        None,
+        None,
+    )
+}
+
 /// `smoke --speedup [trials]`: measures trials/sec of the pre-engine runner
-/// behavior (serial loop, tx/rx rebuilt per packet — what `run_ber` did
-/// before the Monte-Carlo port) against the engine-backed `run_ber`
-/// (per-worker cached state, `UWB_THREADS` workers) on the same scenario.
+/// behavior (serial loop, tx/rx rebuilt per packet) against the
+/// engine-backed full-path runner (per-worker cached state, `UWB_THREADS`
+/// workers) on the same scenario.
 fn speedup(trials: u64) -> ExitCode {
     let config = Gen2Config {
         preamble_repeats: 2,
@@ -54,12 +69,13 @@ fn speedup(trials: u64) -> ExitCode {
     };
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
 
-    // Before: the old serial loop (run_packet rebuilds the worker per call,
-    // exactly like the pre-port run_ber body).
+    // Before: the old serial loop, rebuilding the worker per trial like the
+    // pre-port runner body.
     let t0 = Instant::now();
     let mut serial = LinkOutcome::default();
     for t in 0..trials {
-        run_packet(&scenario, 24, t, &mut serial);
+        let mut rng = uwb_sim::Rand::for_trial(scenario.seed, t);
+        LinkWorker::new(&scenario).trial_full(&scenario, 24, &mut rng, &mut serial);
     }
     let before = t0.elapsed();
     let before_tps = trials as f64 / before.as_secs_f64();
@@ -89,15 +105,16 @@ fn speedup(trials: u64) -> ExitCode {
         println!("speedup: {:.2}x", after / before_tps);
     }
 
-    // Fast (BER-only) path rate, for comparison against the pre-PR
-    // `run_ber_fast` (measure the seed commit with the same scenario to get
-    // the "before" number).
-    let fast = run_ber_fast_budgeted(
+    // Fast (known-timing BER only) path rate on the same trial count.
+    let fast = run_ber_fast_streamed_tuned(
         &scenario,
         24,
+        DEFAULT_STREAM_BLOCK,
         u64::MAX,
         u64::MAX,
         TrialBudget { max_trials: trials },
+        None,
+        None,
     );
     println!(
         "fast path (engine, {} thread(s)): {}  ({})",
@@ -177,12 +194,11 @@ fn main() -> ExitCode {
     };
     // 6 dB AWGN: a few errors per thousand bits, so the error target is
     // reachable well inside the trial budget. Runs on the batched
-    // stage-sweep path (`UWB_BATCH` wide); on AWGN its counters are
-    // bit-identical to the unbatched fast path.
+    // stage-sweep path (`UWB_BATCH` wide); its counters are bit-identical
+    // for any batch width.
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
     let budget = TrialBudget { max_trials: 2_000 };
-    let run =
-        run_ber_fast_streamed_budgeted(&scenario, 24, DEFAULT_STREAM_BLOCK, 20, 200_000, budget);
+    let run = fast_run(&scenario, budget);
     println!("parallel : {run}  ({})", run.stats.summary());
 
     let mut failures = 0u32;
@@ -204,8 +220,7 @@ fn main() -> ExitCode {
     // bit-for-bit with the free-threaded run above — counters AND the
     // deterministic telemetry view (stage call counts, events, histograms).
     std::env::set_var("UWB_THREADS", "1");
-    let serial =
-        run_ber_fast_streamed_budgeted(&scenario, 24, DEFAULT_STREAM_BLOCK, 20, 200_000, budget);
+    let serial = fast_run(&scenario, budget);
     std::env::remove_var("UWB_THREADS");
     println!("1-thread : {serial}  ({})", serial.stats.summary());
     if serial.counter != run.counter || serial.stop != run.stop {

@@ -11,7 +11,7 @@ use uwb_dsp::Complex;
 use uwb_phy::packet::{decode_payload_bits, reference_payload_bits};
 use uwb_phy::pulse::PulseShape;
 use uwb_phy::tracking::Dll;
-use uwb_phy::{Gen2Config, Gen2Receiver, Gen2Transmitter};
+use uwb_phy::{Gen2Config, Gen2Receiver, Gen2Transmitter, RxState};
 use uwb_platform::metrics::ErrorCounter;
 use uwb_platform::report::{format_rate, Table};
 use uwb_rf::LocalOscillator;
@@ -73,6 +73,8 @@ fn main() {
         let tx = Gen2Transmitter::new(cfg.clone()).expect("tx");
         let rx = Gen2Receiver::new(cfg.clone()).expect("rx");
         let mut counter = ErrorCounter::new();
+        let mut state = RxState::new();
+        let mut stats = Vec::new();
         for trial in 0..12u64 {
             let mut rng = Rand::new(EXPERIMENT_SEED ^ trial);
             let mut payload = vec![0u8; payload_len];
@@ -87,7 +89,13 @@ fn main() {
             let p = uwb_dsp::complex::mean_power(&spun);
             let noisy = add_awgn_complex(&spun, p / 20.0, &mut rng);
             let slot0 = burst.slot0_center - tx.pulse().len() / 2;
-            let stats = rx.payload_statistics_known_timing(&noisy, slot0, payload_len);
+            rx.payload_statistics_predigitized_with(
+                &rx.digitize(&noisy),
+                slot0,
+                payload_len,
+                &mut state,
+                &mut stats,
+            );
             if let Ok(bits) = decode_payload_bits(&stats, payload_len, &cfg) {
                 counter.add_bits(&reference_payload_bits(&payload), &bits);
             }

@@ -1,17 +1,19 @@
 //! Shared plumbing for the *tracked* benchmark binaries (`dspbench`,
-//! `stream_link`): timing, the flat `"name": number` JSON convention, and
-//! the baseline regression checker behind `scripts/check.sh bench` /
-//! `scripts/check.sh stream`.
+//! `netbench`, `macbench`): timing, the flat `"name": number` JSON
+//! convention, and the baseline regression checker behind
+//! `scripts/check.sh bench` / `net` / `mac`.
 //!
 //! Every tracked report uses a flat schema on purpose — each metric is a
-//! single `"name": number` pair at some nesting depth, names are globally
-//! unique within a report, and the checker needs no real JSON parser (the
-//! repo vendors no serde). Binaries declare how each metric is judged via
-//! a [`MetricPolicy`] lookup instead of hard-coding key lists in the
-//! checker.
+//! single `"name": number` pair at some nesting depth and names are unique
+//! within a report. The checker parses reports with the strict in-repo
+//! parser ([`uwb_obs::json`]) and rejects a report that does not parse or
+//! repeats a metric name, so no gated metric can drop out unnoticed.
+//! Binaries declare how each metric is judged via a [`MetricPolicy`]
+//! lookup instead of hard-coding key lists in the checker.
 
 use std::process::ExitCode;
 use std::time::Instant;
+use uwb_obs::json::{self, Json};
 
 /// Times `f` for `iters` calls, repeated `reps` times; returns the *best*
 /// per-call time in microseconds (minimum is the standard noise-robust
@@ -47,45 +49,27 @@ pub enum MetricPolicy {
     Skip,
 }
 
-/// Pulls every `"name": number` pair out of a flat-schema report — no
-/// general JSON parser needed (or wanted: the repo vendors no serde).
-pub fn parse_pairs(json: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let bytes = json.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let Some(endq) = json[start..].find('"') else {
-                break;
-            };
-            let key = &json[start..start + endq];
-            i = start + endq + 1;
-            // Skip whitespace, expect ':'.
-            while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-                i += 1;
+/// Flattens a tracked report into its metrics: every `"name": number`
+/// pair at any object depth, named by its own key. Fails when the report
+/// is not valid JSON or repeats a metric name — the checker looks metrics
+/// up by name, so a repeat would be ambiguous.
+fn metrics(json: &str) -> Result<Vec<(String, f64)>, String> {
+    fn walk(v: &Json, out: &mut Vec<(String, f64)>) -> Result<(), String> {
+        for (key, child) in v.as_obj().unwrap_or_default() {
+            match child {
+                Json::Num(_) if out.iter().any(|(k, _)| k == key) => {
+                    return Err(format!("metric {key} appears more than once"));
+                }
+                Json::Num(x) => out.push((key.clone(), *x)),
+                Json::Obj(_) => walk(child, out)?,
+                _ => {}
             }
-            if i < bytes.len() && bytes[i] == b':' {
-                i += 1;
-                while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-                    i += 1;
-                }
-                let num_start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || matches!(bytes[i], b'.' | b'-' | b'e' | b'E' | b'+'))
-                {
-                    i += 1;
-                }
-                if let Ok(v) = json[num_start..i].parse::<f64>() {
-                    pairs.push((key.to_string(), v));
-                }
-            }
-        } else {
-            i += 1;
         }
+        Ok(())
     }
-    pairs
+    let mut out = Vec::new();
+    walk(&json::parse(json)?, &mut out)?;
+    Ok(out)
 }
 
 /// Compares a freshly rendered report against a committed baseline,
@@ -94,7 +78,9 @@ pub fn parse_pairs(json: &str) -> Vec<(String, f64)> {
 /// `policy` maps each metric name to its [`MetricPolicy`]; `tool` labels
 /// diagnostics. Only [`MetricPolicy::Gate`] metrics can fail the check:
 /// they fail when they rise more than `tol_pct` percent above the
-/// baseline. A gated metric missing from the current run also fails.
+/// baseline. A baseline metric missing from the current run also fails,
+/// and so does a baseline or current report that does not parse or
+/// repeats a metric name.
 pub fn check_against(
     tool: &str,
     baseline_path: &str,
@@ -109,8 +95,20 @@ pub fn check_against(
             return ExitCode::FAILURE;
         }
     };
-    let base = parse_pairs(&baseline);
-    let curr = parse_pairs(current);
+    let base = match metrics(&baseline) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("{tool}: baseline {baseline_path} is not a valid report: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let curr = match metrics(current) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("{tool}: current report is not valid: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut failed = false;
     println!(
         "{:<34} {:>12} {:>12} {:>9}",
@@ -182,9 +180,19 @@ mod tests {
         }
     }
 
+    /// Writes `baseline` to a fresh file named after `case` and checks
+    /// `current` against it.
+    fn check(case: &str, baseline: &str, current: &str) -> ExitCode {
+        let dir = std::env::temp_dir().join(format!("uwb_tracked_test_{case}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.json");
+        std::fs::write(&path, baseline).unwrap();
+        check_against("test", path.to_str().unwrap(), current, 15.0, &policy)
+    }
+
     #[test]
-    fn parse_pairs_extracts_flat_metrics() {
-        let pairs = parse_pairs(SAMPLE);
+    fn metrics_flattens_nested_numbers() {
+        let pairs = metrics(SAMPLE).unwrap();
         let get = |k: &str| pairs.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("alpha"), Some(10.0));
         assert_eq!(get("beta"), Some(25.0));
@@ -196,34 +204,37 @@ mod tests {
 
     #[test]
     fn check_passes_identical_report() {
-        let dir = std::env::temp_dir().join("uwb_tracked_test_pass");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(&path, SAMPLE).unwrap();
-        let code = check_against("test", path.to_str().unwrap(), SAMPLE, 15.0, &policy);
-        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(check("pass", SAMPLE, SAMPLE), ExitCode::SUCCESS);
     }
 
     #[test]
     fn check_fails_gated_regression_but_not_info() {
-        let dir = std::env::temp_dir().join("uwb_tracked_test_fail");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(&path, SAMPLE).unwrap();
         // tps halves (info only) and overhead worsens (info only): pass.
         let slower = SAMPLE
             .replace("\"tps\": 100.0", "\"tps\": 50.0")
             .replace("\"overhead_pct\": -1.5", "\"overhead_pct\": 40.0");
-        let code = check_against("test", path.to_str().unwrap(), &slower, 15.0, &policy);
-        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(check("fail", SAMPLE, &slower), ExitCode::SUCCESS);
         // A gated kernel rising 50% fails.
         let regressed = SAMPLE.replace("\"alpha\": 10.0", "\"alpha\": 15.0");
-        let code = check_against("test", path.to_str().unwrap(), &regressed, 15.0, &policy);
-        assert_eq!(code, ExitCode::FAILURE);
+        assert_eq!(check("fail", SAMPLE, &regressed), ExitCode::FAILURE);
         // A gated kernel *improving* never fails.
         let improved = SAMPLE.replace("\"alpha\": 10.0", "\"alpha\": 2.0");
-        let code = check_against("test", path.to_str().unwrap(), &improved, 15.0, &policy);
-        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(check("fail", SAMPLE, &improved), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn check_fails_malformed_baseline() {
+        // A gated value that does not scan as a number must not silently
+        // drop out of the check.
+        let malformed = SAMPLE.replace("\"alpha\": 10.0", "\"alpha\": 1.2.3");
+        assert_eq!(check("malformed", &malformed, SAMPLE), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn check_fails_repeated_metric_name() {
+        let repeated = SAMPLE.replace("\"beta\": 2.5e1", "\"beta\": 2.5e1,\n    \"alpha\": 10.0");
+        assert!(metrics(&repeated).is_err());
+        assert_eq!(check("repeated", &repeated, SAMPLE), ExitCode::FAILURE);
     }
 
     #[test]

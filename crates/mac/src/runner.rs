@@ -51,7 +51,6 @@ use uwb_dsp::scratch::DspScratch;
 use uwb_dsp::stream::accumulate_scaled_offset;
 use uwb_dsp::Complex;
 use uwb_net::WorkerPool;
-use uwb_platform::link::BatchScratch;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{Merge, MonteCarlo};
 use uwb_sim::{derive_trial_seed, Rand};
@@ -326,7 +325,6 @@ pub struct MacWorker {
     events: EventQueue,
     mixed: Vec<Complex>,
     scratch: DspScratch,
-    batch: BatchScratch,
     /// Network-wide bit-error total for the current trial (flight-recorder
     /// score).
     trial_errs: u64,
@@ -351,7 +349,6 @@ impl MacWorker {
             events: EventQueue::with_capacity(8 * n + 64),
             mixed: Vec::with_capacity(sample_cap),
             scratch: DspScratch::new(),
-            batch: BatchScratch::new(),
             trial_errs: 0,
         }
     }
@@ -538,12 +535,11 @@ impl MacWorker {
             let _t = uwb_obs::span!("mac_rx");
             let config = &plan.net.links[l].scenario.config;
             let rx = self.pool.worker_for(l);
-            rx.count_errors_in_record_with_payload_batched(
+            rx.count_errors_in_record(
                 config,
                 &self.mixed,
                 slot0_start,
                 &self.records.slots[slot as usize].payload,
-                &mut self.batch,
                 &mut stats.ber,
             )
         };

@@ -22,7 +22,7 @@
 //! 2. **Isolation parity** — a link whose channel is beyond the front
 //!    end's selectivity floor from every other link is **bit-identical**
 //!    to the same link run alone through
-//!    [`uwb_platform::link::run_ber_fast_streamed_budgeted`].
+//!    [`uwb_platform::link::run_ber_fast_streamed_tuned`].
 //! 3. **Zero warm-path allocation** — all per-round buffers live in
 //!    [`runner::NetWorker`] and are reused.
 //!

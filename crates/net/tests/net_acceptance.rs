@@ -16,7 +16,7 @@ use uwb_net::{
     NetScenario,
 };
 use uwb_phy::bandplan::Channel;
-use uwb_platform::link::{run_ber_fast_streamed_budgeted, TrialBudget};
+use uwb_platform::link::{run_ber_fast_streamed_tuned, TrialBudget};
 use uwb_sim::topology::{LinkGeometry, Position, Topology};
 
 const SEED: u64 = 20050314;
@@ -60,7 +60,7 @@ fn isolated_link_matches_single_link_streamed_path_bitwise() {
         report.plan.coupling[7]
     );
 
-    let solo = run_ber_fast_streamed_budgeted(
+    let solo = run_ber_fast_streamed_tuned(
         &report.plan.links[7].scenario,
         sc.payload_len,
         sc.block_len,
@@ -69,6 +69,8 @@ fn isolated_link_matches_single_link_streamed_path_bitwise() {
         TrialBudget {
             max_trials: sc.rounds,
         },
+        None,
+        None,
     );
     assert_eq!(
         report.links[7].counter, solo.counter,

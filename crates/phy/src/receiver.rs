@@ -166,33 +166,15 @@ impl Gen2Receiver {
     /// configured ADC resolution.
     pub fn digitize(&self, samples: &[Complex]) -> Vec<Complex> {
         let mut out = Vec::new();
-        self.digitize_into(samples, &mut out);
+        self.digitize_append(samples, &mut out);
         out
     }
 
-    /// [`Gen2Receiver::digitize`] into a caller-owned buffer, fusing the
-    /// gain and quantization passes (bit-identical output, allocation-free
-    /// once the buffer capacity suffices).
-    pub fn digitize_into(&self, samples: &[Complex], out: &mut Vec<Complex>) {
-        let p = uwb_dsp::simd::mean_power(samples);
-        if p <= 0.0 {
-            out.clear();
-            out.extend_from_slice(samples);
-            return;
-        }
-        let gain = 0.355 / p.sqrt();
-        uwb_obs::gauge!("agc_gain_milli").set((gain * 1000.0) as u64);
-        uwb_obs::note!("agc_gain_milli", (gain * 1000.0) as u64);
-        // Fused scale + mid-rise quantize sweep — bit-identical to scaling
-        // and quantizing each rail in turn (see Quantizer parity test).
-        self.quantizer.quantize_scaled_into(samples, gain, out);
-    }
-
-    /// [`Gen2Receiver::digitize_into`] that *appends* the digitized record
-    /// to `out` instead of replacing it — the batched runtime's form, which
-    /// digitizes each trial's lane straight into a flat
-    /// [`uwb_dsp::batch::BatchArena`] buffer. Per-sample arithmetic, AGC
-    /// gain, and telemetry are identical to the replacing form.
+    /// [`Gen2Receiver::digitize`] *appended* to a caller-owned buffer
+    /// (clear it first to replace its contents), fusing the gain and
+    /// quantization passes — allocation-free once the buffer capacity
+    /// suffices. Appending lets the batched runtime digitize each trial's
+    /// lane straight into a flat [`uwb_dsp::batch::BatchArena`] buffer.
     pub fn digitize_append(&self, samples: &[Complex], out: &mut Vec<Complex>) {
         let p = uwb_dsp::simd::mean_power(samples);
         if p <= 0.0 {
@@ -202,10 +184,15 @@ impl Gen2Receiver {
         let gain = 0.355 / p.sqrt();
         uwb_obs::gauge!("agc_gain_milli").set((gain * 1000.0) as u64);
         uwb_obs::note!("agc_gain_milli", (gain * 1000.0) as u64);
+        // Fused scale + mid-rise quantize sweep — bit-identical to scaling
+        // and quantizing each rail in turn (see Quantizer parity test).
         self.quantizer.quantize_scaled_append(samples, gain, out);
     }
 
-    /// Runs the complete receive chain on a complex-baseband record.
+    /// Runs the complete receive chain on a complex-baseband record: the
+    /// one-shot form of the stage calls [`Gen2Receiver::digitize_append`] →
+    /// [`Gen2Receiver::acquire_record`] →
+    /// [`Gen2Receiver::receive_packet_acquired`], with fresh buffers.
     ///
     /// # Errors
     ///
@@ -214,83 +201,18 @@ impl Gen2Receiver {
     ///   [`PhyError::TruncatedInput`] — decode failures.
     pub fn receive_packet(&self, samples: &[Complex]) -> Result<ReceivedPacket, PhyError> {
         let mut state = RxState::new();
-        self.receive_packet_with(samples, &mut state)
-    }
-
-    /// [`Gen2Receiver::receive_packet`] drawing every work buffer from a
-    /// caller-owned [`RxState`] — identical results, but acquisition FFTs,
-    /// the digitized record, channel estimation, and RAKE rebuilds all reuse
-    /// the state's storage (the per-trial form used by the Monte-Carlo
-    /// engine). Only the returned packet itself is freshly allocated.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_with(
-        &self,
-        samples: &[Complex],
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        {
+        let digitized = {
             let _t = uwb_obs::span!("rx_agc_adc");
-            self.digitize_into(samples, &mut state.digitized);
-            state.chanest_memo = None;
-        }
-        self.receive_packet_predigitized(state)
+            self.digitize(samples)
+        };
+        let acq = self.acquire_record(&digitized, &mut state);
+        self.receive_packet_acquired(&digitized, &acq, &mut state)
     }
 
-    /// [`Gen2Receiver::receive_packet_with`] starting from the record
-    /// already digitized into `state.digitized`, skipping the AGC/ADC pass.
-    ///
-    /// Digitization is a pure function of the input record, so when a
-    /// caller has *just* digitized the same samples (e.g. the Monte-Carlo
-    /// full trial, whose known-timing BER pass runs first), re-running it
-    /// would reproduce `state.digitized` bit-for-bit — this entry point
-    /// skips that duplicate work with identical results.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_predigitized(
-        &self,
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        let digitized = std::mem::take(&mut state.digitized);
-        let out = self.receive_packet_from_record(&digitized, state);
-        state.digitized = digitized;
-        out
-    }
-
-    /// [`Gen2Receiver::receive_packet_predigitized`] reading the digitized
-    /// record from a caller-owned slice (e.g. one lane of a batched trial
-    /// arena) instead of `state.digitized` — bit-identical results.
-    ///
-    /// The same memo caveat applies: `state.chanest_memo` must refer to
-    /// *this* record (the caller just ran a known-timing pass on it) or be
-    /// `None`; [`Gen2Receiver::payload_statistics_predigitized_with`]
-    /// re-establishes that invariant at its entry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_from_record(
-        &self,
-        digitized: &[Complex],
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        let acq = self.acquire_record(digitized, state);
-        self.receive_packet_acquired(digitized, &acq, state)
-    }
-
-    /// The coarse-acquisition front of [`receive_packet_from_record`]: one
-    /// preamble period of candidate phases correlated against the cached
-    /// matched-template spectrum. Split out so the batched runtime can sweep
-    /// acquisition across a whole batch of digitized lanes (amortizing the
-    /// template spectrum via [`Gen2Receiver::warm_acquisition`]) before any
-    /// lane's frame is decoded. Emits the same forensics notes and the
-    /// `acq_miss` event the fused path emits.
-    ///
-    /// [`receive_packet_from_record`]: Gen2Receiver::receive_packet_from_record
+    /// Coarse acquisition over an already-digitized record: one preamble
+    /// period of candidate phases correlated against the cached
+    /// matched-template spectrum. Emits the acquisition forensics notes and,
+    /// on a miss, the `acq_miss` event.
     pub fn acquire_record(&self, digitized: &[Complex], state: &mut RxState) -> AcquisitionResult {
         let sps = self.config.samples_per_slot();
         let period = self.config.preamble_length() * sps;
@@ -309,16 +231,18 @@ impl Gen2Receiver {
         acq
     }
 
-    /// The frame-decode back half of [`receive_packet_from_record`], given
+    /// The frame decode (channel estimate → RAKE → header → payload) given
     /// an acquisition result obtained from [`Gen2Receiver::acquire_record`]
-    /// over the *same* digitized record. Bit-identical to the fused path;
-    /// the miss forensics were already emitted at acquisition time.
+    /// over the *same* digitized record.
+    ///
+    /// `state.chanest_memo` must refer to *this* record (the caller just ran
+    /// [`Gen2Receiver::payload_statistics_predigitized_with`] on it) or be
+    /// `None`; the memo then lets a lock at the known-timing offset skip the
+    /// duplicate channel estimate, bit-exactly.
     ///
     /// # Errors
     ///
     /// Same as [`Gen2Receiver::receive_packet`].
-    ///
-    /// [`receive_packet_from_record`]: Gen2Receiver::receive_packet_from_record
     pub fn receive_packet_acquired(
         &self,
         digitized: &[Complex],
@@ -335,16 +259,6 @@ impl Gen2Receiver {
             acquisition: *acq,
             estimate: state.estimate.clone(),
         })
-    }
-
-    /// Pre-builds the cached matched-template spectrum for the transform
-    /// size acquisition will use on a record of `record_len` samples, so a
-    /// batched acquisition sweep pays the template FFT once per batch
-    /// instead of lazily inside the first lane's timed search. Identical
-    /// results either way — this only moves when the memo is built.
-    pub fn warm_acquisition(&self, record_len: usize) {
-        let period = self.config.preamble_length() * self.config.samples_per_slot();
-        self.acquisition.warm(record_len, period + CIR_PRE_SAMPLES);
     }
 
     /// Channel estimation + RAKE rebuild around the acquisition lock at
@@ -423,9 +337,8 @@ impl Gen2Receiver {
 
     /// Decodes one full frame whose acquisition lock sits at `offset` within
     /// the already-digitized record in `state`: channel estimation → RAKE
-    /// rebuild → header → payload. Shared by
-    /// [`Gen2Receiver::receive_packet_with`], the batch scan loop, and the
-    /// incremental [`crate::stream_rx::StreamRx`].
+    /// rebuild → header → payload. Used by the incremental
+    /// [`crate::stream_rx::StreamRx`].
     pub(crate) fn decode_frame_at(
         &self,
         state: &mut RxState,
@@ -438,7 +351,7 @@ impl Gen2Receiver {
     }
 
     /// [`Gen2Receiver::decode_frame_at`] reading the digitized record from
-    /// a caller-owned slice (the batched runtime's arena lanes).
+    /// a caller-owned slice.
     fn decode_frame_on(
         &self,
         digitized: &[Complex],
@@ -509,13 +422,11 @@ impl Gen2Receiver {
     ///
     /// Every attempt re-digitizes and re-scans the whole remaining record —
     /// O(record²) on long captures, and the entire record must be resident.
-    /// Prefer [`crate::stream_rx::StreamRx`], which runs the same state
-    /// machine incrementally over blocks in bounded memory.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `StreamRx` for incremental, bounded-memory packet scanning"
-    )]
-    pub fn receive_stream(&self, samples: &[Complex]) -> Vec<(usize, ReceivedPacket)> {
+    /// Kept only as the test reference for [`crate::stream_rx::StreamRx`],
+    /// which runs the same state machine incrementally over blocks in
+    /// bounded memory.
+    #[cfg(test)]
+    pub(crate) fn receive_stream(&self, samples: &[Complex]) -> Vec<(usize, ReceivedPacket)> {
         let sps = self.config.samples_per_slot();
         let period = self.config.preamble_length() * sps;
         let mut state = RxState::new();
@@ -527,7 +438,8 @@ impl Gen2Receiver {
             let window = &samples[cursor..];
             {
                 let _t = uwb_obs::span!("rx_agc_adc");
-                self.digitize_into(window, &mut state.digitized);
+                state.digitized.clear();
+                self.digitize_append(window, &mut state.digitized);
                 state.chanest_memo = None;
             }
             let acq = {
@@ -638,64 +550,18 @@ impl Gen2Receiver {
     }
 
     /// BER-measurement fast path: demodulates payload slot statistics with
-    /// *known* frame timing (slot 0 pulse starts at `slot0_start` in
-    /// `samples`), skipping acquisition. Returns the raw per-slot decision
-    /// statistics so callers can count bit errors against ground truth.
-    pub fn payload_statistics_known_timing(
-        &self,
-        samples: &[Complex],
-        slot0_start: usize,
-        payload_len: usize,
-    ) -> Vec<Complex> {
-        let mut state = RxState::new();
-        let mut out = Vec::new();
-        self.payload_statistics_known_timing_with(
-            samples,
-            slot0_start,
-            payload_len,
-            &mut state,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Gen2Receiver::payload_statistics_known_timing`] drawing every work
-    /// buffer from a caller-owned [`RxState`] and writing the statistics into
-    /// `out` — identical results, zero steady-state heap allocation (the
-    /// per-trial form used by the Monte-Carlo BER engine; the MLSE path,
-    /// when enabled, is the documented exception).
-    pub fn payload_statistics_known_timing_with(
-        &self,
-        samples: &[Complex],
-        slot0_start: usize,
-        payload_len: usize,
-        state: &mut RxState,
-        out: &mut Vec<Complex>,
-    ) {
-        {
-            let _t = uwb_obs::span!("rx_agc_adc");
-            self.digitize_into(samples, &mut state.digitized);
-            state.chanest_memo = None;
-        }
-        let digitized = std::mem::take(&mut state.digitized);
-        self.payload_statistics_predigitized_with(&digitized, slot0_start, payload_len, state, out);
-        state.digitized = digitized;
-    }
-
-    /// The chanest → RAKE → demodulate back half of
-    /// [`Gen2Receiver::payload_statistics_known_timing_with`], reading an
-    /// already-digitized record from a caller-owned slice (one lane of the
-    /// batched runtime's digitized arena; produce it with
-    /// [`Gen2Receiver::digitize_append`] under the caller's own
-    /// `rx_agc_adc` span). Bit-identical to the fused form — digitization
-    /// and channel estimation are pure functions of the record.
+    /// *known* frame timing (slot 0 pulse starts at `slot0_start`),
+    /// skipping acquisition, over an already-digitized record (produce it
+    /// with [`Gen2Receiver::digitize_append`]). Writes the raw per-slot
+    /// decision statistics into `out` so callers can count bit errors
+    /// against ground truth. Zero steady-state heap allocation (the MLSE
+    /// path, when enabled, is the documented exception).
     ///
     /// Resets `state.chanest_memo` at entry (the record is externally
     /// supplied, so any memoized estimate may belong to a different
     /// record), then leaves the memo referring to this record — so a
-    /// following [`Gen2Receiver::receive_packet_from_record`] on the *same*
-    /// record skips the duplicate channel estimate exactly like the fused
-    /// full-trial sequence.
+    /// following [`Gen2Receiver::receive_packet_acquired`] on the *same*
+    /// record skips the duplicate channel estimate.
     pub fn payload_statistics_predigitized_with(
         &self,
         digitized: &[Complex],
@@ -739,6 +605,24 @@ mod tests {
         )
     }
 
+    /// Known-timing payload statistics of a raw record on a fresh state.
+    fn known_timing_stats(
+        rx: &Gen2Receiver,
+        samples: &[Complex],
+        slot0_start: usize,
+        payload_len: usize,
+    ) -> Vec<Complex> {
+        let mut out = Vec::new();
+        rx.payload_statistics_predigitized_with(
+            &rx.digitize(samples),
+            slot0_start,
+            payload_len,
+            &mut RxState::new(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn clean_awgn_free_packet() {
         let cfg = Gen2Config::nominal_100mbps();
@@ -749,43 +633,6 @@ mod tests {
         assert_eq!(got.payload, payload);
         assert_eq!(got.header.payload_len, 64);
         assert!(got.acquisition.detected);
-    }
-
-    #[test]
-    fn predigitized_matches_full_receive_bitwise() {
-        // receive_packet_predigitized after a known-timing BER pass (the
-        // trial_full sequence) must agree exactly with a fresh
-        // receive_packet_with on the same record.
-        let cfg = Gen2Config::nominal_100mbps();
-        let (tx, rx) = link(&cfg);
-        let payload = vec![0x5Au8; 32];
-        let burst = tx.transmit_packet(&payload).unwrap();
-        let mut rng = Rand::new(3);
-        let p = uwb_dsp::complex::mean_power(&burst.samples);
-        let noisy = add_awgn_complex(&burst.samples, p / 2.0, &mut rng);
-
-        let mut fresh = RxState::new();
-        let want = rx.receive_packet_with(&noisy, &mut fresh).unwrap();
-
-        let mut state = RxState::new();
-        let mut stats = Vec::new();
-        let slot0_start = burst.slot0_center - tx.pulse().len() / 2;
-        rx.payload_statistics_known_timing_with(
-            &noisy,
-            slot0_start,
-            payload.len(),
-            &mut state,
-            &mut stats,
-        );
-        let got = rx.receive_packet_predigitized(&mut state).unwrap();
-        assert_eq!(got.payload, want.payload);
-        assert_eq!(got.header, want.header);
-        assert_eq!(got.acquisition.offset, want.acquisition.offset);
-        assert_eq!(
-            got.acquisition.metric.to_bits(),
-            want.acquisition.metric.to_bits()
-        );
-        assert_eq!(got.estimate.taps(), want.estimate.taps());
     }
 
     #[test]
@@ -852,7 +699,8 @@ mod tests {
         let (tx, rx) = link(&cfg);
         let payload = vec![0xF0u8; 16];
         let burst = tx.transmit_packet(&payload).unwrap();
-        let stats = rx.payload_statistics_known_timing(
+        let stats = known_timing_stats(
+            &rx,
             &burst.samples,
             burst.slot0_center - tx.pulse().len() / 2,
             payload.len(),
@@ -874,7 +722,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn stream_reception_finds_multiple_packets() {
         let cfg = Gen2Config {
             preamble_repeats: 2,
@@ -908,7 +755,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn stream_reception_empty_record() {
         let cfg = Gen2Config {
             preamble_repeats: 2,
@@ -987,7 +833,7 @@ mod tests {
             let p = uwb_dsp::complex::mean_power(&through);
             let noisy = add_awgn_complex(&through, p / 3.0, &mut rng);
             let slot0 = burst.slot0_center - tx.pulse().len() / 2;
-            let stats = rx.payload_statistics_known_timing(&noisy, slot0, payload.len());
+            let stats = known_timing_stats(&rx, &noisy, slot0, payload.len());
             let bits =
                 crate::packet::decode_payload_bits(&stats, payload.len(), &cfg).unwrap();
             crate::packet::reference_payload_bits(&payload)
@@ -1009,42 +855,28 @@ mod tests {
     }
 
     #[test]
-    fn known_timing_with_state_matches_plain() {
+    fn known_timing_on_warm_state_matches_fresh() {
         let cfg = Gen2Config::nominal_100mbps();
         let (tx, rx) = link(&cfg);
         let payload = vec![0x9Au8; 24];
         let burst = tx.transmit_packet(&payload).unwrap();
         let slot0 = burst.slot0_center - tx.pulse().len() / 2;
-        let want = rx.payload_statistics_known_timing(&burst.samples, slot0, payload.len());
+        let want = known_timing_stats(&rx, &burst.samples, slot0, payload.len());
         let mut state = RxState::new();
+        let mut digitized = Vec::new();
         let mut out = Vec::new();
-        // Repeated calls on one warm state stay bit-identical.
+        // Repeated calls on one warm state and buffer stay bit-identical.
         for _ in 0..3 {
-            rx.payload_statistics_known_timing_with(
-                &burst.samples,
+            digitized.clear();
+            rx.digitize_append(&burst.samples, &mut digitized);
+            rx.payload_statistics_predigitized_with(
+                &digitized,
                 slot0,
                 payload.len(),
                 &mut state,
                 &mut out,
             );
             assert_eq!(out, want);
-        }
-    }
-
-    #[test]
-    fn receive_packet_with_state_matches_plain() {
-        let cfg = Gen2Config::nominal_100mbps();
-        let (tx, rx) = link(&cfg);
-        let payload = vec![0x42u8; 20];
-        let burst = tx.transmit_packet(&payload).unwrap();
-        let want = rx.receive_packet(&burst.samples).unwrap();
-        let mut state = RxState::new();
-        for _ in 0..2 {
-            let got = rx.receive_packet_with(&burst.samples, &mut state).unwrap();
-            assert_eq!(got.payload, want.payload);
-            assert_eq!(got.header, want.header);
-            assert_eq!(got.acquisition, want.acquisition);
-            assert_eq!(got.estimate, want.estimate);
         }
     }
 
@@ -1056,11 +888,12 @@ mod tests {
     }
 
     #[test]
-    fn stage_split_apis_match_fused_path_bitwise() {
-        // digitize_append + payload_statistics_predigitized_with +
-        // receive_packet_from_record (the batched stage-sweep sequence)
-        // must reproduce the fused known-timing + predigitized sequence
-        // bit-for-bit.
+    fn known_timing_then_acquired_decode_matches_one_shot_receive() {
+        // The full-trial sequence — digitize_append, known-timing
+        // statistics, acquire_record, receive_packet_acquired on one warm
+        // state — must reproduce the one-shot receive_packet bit-for-bit,
+        // including when the channel-estimate memo from the known-timing
+        // pass is reused.
         let cfg = Gen2Config::nominal_100mbps();
         let (tx, rx) = link(&cfg);
         let payload = vec![0x3Cu8; 32];
@@ -1069,48 +902,34 @@ mod tests {
         let p = uwb_dsp::complex::mean_power(&burst.samples);
         let noisy = add_awgn_complex(&burst.samples, p / 2.0, &mut rng);
         let slot0 = burst.slot0_center - tx.pulse().len() / 2;
+        let want = rx.receive_packet(&noisy).unwrap();
 
-        // Reference: the fused per-trial sequence (trial_full's shape).
-        let mut fused = RxState::new();
-        let mut want_stats = Vec::new();
-        rx.payload_statistics_known_timing_with(
-            &noisy,
-            slot0,
-            payload.len(),
-            &mut fused,
-            &mut want_stats,
-        );
-        let want_pkt = rx.receive_packet_predigitized(&mut fused).unwrap();
-
-        // Stage-split: digitize into an external lane, then run the back
-        // half and the acquisition pass from that lane.
-        let mut lane = vec![Complex::ONE; 7]; // junk prefix: append semantics
-        rx.digitize_append(&noisy, &mut lane);
-        let digitized = &lane[7..];
-        assert_eq!(digitized, &fused.digitized[..], "digitize_append parity");
-        let mut split = RxState::new();
-        let mut got_stats = Vec::new();
-        rx.payload_statistics_predigitized_with(
-            digitized,
-            slot0,
-            payload.len(),
-            &mut split,
-            &mut got_stats,
-        );
-        assert_eq!(
-            got_stats
-                .iter()
-                .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                .collect::<Vec<_>>(),
-            want_stats
-                .iter()
-                .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                .collect::<Vec<_>>()
-        );
-        let got_pkt = rx.receive_packet_from_record(digitized, &mut split).unwrap();
-        assert_eq!(got_pkt.payload, want_pkt.payload);
-        assert_eq!(got_pkt.header, want_pkt.header);
-        assert_eq!(got_pkt.acquisition, want_pkt.acquisition);
-        assert_eq!(got_pkt.estimate, want_pkt.estimate);
+        let mut state = RxState::new();
+        let mut stats = Vec::new();
+        for _ in 0..2 {
+            let mut lane = vec![Complex::ONE; 7]; // junk prefix: append semantics
+            rx.digitize_append(&noisy, &mut lane);
+            let digitized = &lane[7..];
+            assert_eq!(
+                digitized,
+                &rx.digitize(&noisy)[..],
+                "digitize_append parity"
+            );
+            rx.payload_statistics_predigitized_with(
+                digitized,
+                slot0,
+                payload.len(),
+                &mut state,
+                &mut stats,
+            );
+            let acq = rx.acquire_record(digitized, &mut state);
+            let got = rx
+                .receive_packet_acquired(digitized, &acq, &mut state)
+                .unwrap();
+            assert_eq!(got.payload, want.payload);
+            assert_eq!(got.header, want.header);
+            assert_eq!(got.acquisition, want.acquisition);
+            assert_eq!(got.estimate, want.estimate);
+        }
     }
 }

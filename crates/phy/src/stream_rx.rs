@@ -1,8 +1,8 @@
 //! Incremental, bounded-memory packet scanning over a sample stream.
 //!
-//! [`Gen2Receiver::receive_stream`] needs the whole capture resident and
-//! re-digitizes the entire remaining record on every attempt — O(record²)
-//! work on long captures. [`StreamRx`] runs the same acquire → decode → skip
+//! A whole-record scan needs the entire capture resident and re-digitizes
+//! the remaining record on every attempt — O(record²) work on long
+//! captures. [`StreamRx`] runs the same acquire → decode → skip
 //! state machine *incrementally*: callers push arbitrarily sized blocks of
 //! complex-baseband samples, the receiver retains only a fixed window of
 //! history (about one preamble period of search slack plus one maximum frame
@@ -375,7 +375,9 @@ impl StreamRx {
         let a = self.cursor - self.base;
         let b = end - self.base;
         let _t = uwb_obs::span!("rx_agc_adc");
-        self.rx.digitize_into(&self.buf[a..b], &mut self.state.digitized);
+        self.state.digitized.clear();
+        self.rx
+            .digitize_append(&self.buf[a..b], &mut self.state.digitized);
         self.state.chanest_memo = None;
     }
 
@@ -530,7 +532,6 @@ mod tests {
     fn matches_batch_scan_results() {
         let (record, _) = three_packet_record();
         let rx = Gen2Receiver::new(cfg()).unwrap();
-        #[allow(deprecated)]
         let batch = rx.receive_stream(&record);
         let streamed = run_stream(&record, 1024);
         assert_eq!(streamed.len(), batch.len());

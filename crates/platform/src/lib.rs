@@ -18,11 +18,24 @@
 //! # Example: one BER point
 //!
 //! ```
-//! use uwb_platform::link::{run_ber_fast, LinkScenario};
+//! use uwb_platform::link::{
+//!     run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+//! };
 //! use uwb_phy::Gen2Config;
 //!
 //! let scenario = LinkScenario::awgn(Gen2Config::nominal_100mbps(), 10.0, 42);
-//! let counter = run_ber_fast(&scenario, 16, 5, 20_000);
+//! // 16-byte payloads until 5 bit errors or 20 000 bits; default batch
+//! // width and thread count.
+//! let counter = run_ber_fast_streamed_tuned(
+//!     &scenario,
+//!     16,
+//!     DEFAULT_STREAM_BLOCK,
+//!     5,
+//!     20_000,
+//!     TrialBudget::default(),
+//!     None,
+//!     None,
+//! );
 //! assert!(counter.rate() < 1e-2);
 //! ```
 
@@ -35,9 +48,8 @@ pub mod report;
 pub mod waveform;
 
 pub use link::{
-    ber_waterfall, run_ber, run_ber_budgeted, run_ber_fast, run_ber_fast_budgeted,
-    run_ber_fast_streamed, run_ber_fast_streamed_budgeted, BerRun, CleanSynthesis, LinkOutcome,
-    LinkRun, LinkScenario, LinkStopReason, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
+    run_ber_budgeted, run_ber_fast_streamed_tuned, BerRun, CleanSynthesis, LinkOutcome, LinkRun,
+    LinkScenario, LinkStopReason, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
 };
 pub use mask::{check_mask, fcc_indoor_mask, MaskReport, MaskSegment};
 pub use metrics::ErrorCounter;

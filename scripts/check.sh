@@ -19,13 +19,9 @@
 #                             the 1k-user city trace acceptance run, and a
 #                             trace-export smoke (`smoke --trace`)
 #   scripts/check.sh stream   streaming gate: chunk-size-invariance /
-#                             batch-parity / bounded-memory tests, the
-#                             allocation gate (covers the streamed trial),
-#                             then stream_link vs BENCH_stream.json — the
-#                             streamed path must stay within
-#                             STREAM_MAX_OVERHEAD percent (default 5) of
-#                             batch throughput and its counters must match
-#                             bit-for-bit
+#                             whole-record-parity / bounded-memory tests,
+#                             then the allocation gate (covers the streamed
+#                             trial)
 #   scripts/check.sh net      network gate: builds uwb-net, runs its unit +
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism),
@@ -113,16 +109,10 @@ obs() {
 }
 
 stream() {
-    local tol="${BENCH_TOL:-15}"
-    local max_overhead="${STREAM_MAX_OVERHEAD:-5}"
-    echo "== stream: chunk-size invariance + batch parity + bounded memory =="
+    echo "== stream: chunk-size invariance + whole-record parity + bounded memory =="
     cargo test -q --release --test stream_parity
     echo "== stream: zero-allocation warm streamed trial =="
     cargo test -q --release --test alloc_regression
-    echo "== stream: stream_link vs committed BENCH_stream.json (overhead gate ${max_overhead}%) =="
-    cargo build --release -p uwb-bench --bin stream_link
-    UWB_THREADS=1 ./target/release/stream_link \
-        --check BENCH_stream.json --tol "$tol" --max-overhead "$max_overhead"
 }
 
 net() {

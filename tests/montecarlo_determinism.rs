@@ -9,9 +9,12 @@
 //! real gen2 link runners.
 
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_budgeted, run_ber_fast_budgeted, TrialBudget};
+use uwb_platform::link::{
+    run_ber_budgeted, run_ber_fast_streamed_tuned, BerRun, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb_platform::{ErrorCounter, LinkScenario, LinkStopReason};
 use uwb_sim::montecarlo::resolve_threads;
+use uwb_sim::sv_channel::ChannelModel;
 use uwb_sim::{derive_trial_seed, MonteCarlo, Rand};
 
 const SEED: u64 = 20050307;
@@ -22,6 +25,21 @@ fn scenario() -> LinkScenario {
         ..Gen2Config::nominal_100mbps()
     };
     LinkScenario::awgn(config, 6.0, SEED)
+}
+
+/// The known-timing BER runner on 24-byte payloads at the default block and
+/// batch width; the thread count comes from `UWB_THREADS`.
+fn fast_run(sc: &LinkScenario, target_errors: u64, max_bits: u64, budget: TrialBudget) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        sc,
+        24,
+        DEFAULT_STREAM_BLOCK,
+        target_errors,
+        max_bits,
+        budget,
+        None,
+        None,
+    )
 }
 
 /// A deliberately order-sensitive reduction: floating-point sums only come
@@ -109,27 +127,40 @@ fn derive_trial_seed_gives_distinct_decorrelated_streams() {
 
 #[test]
 fn link_runners_agree_and_are_thread_invariant() {
-    let sc = scenario();
     let budget = TrialBudget { max_trials: 500 };
+    let cm3 = LinkScenario {
+        channel: ChannelModel::Cm3,
+        ..scenario()
+    };
+    for sc in [scenario(), cm3] {
+        // Fast (BER-only) and full (BER + acquisition) runners must count
+        // the same bit errors: same trials, same per-trial seeds, same
+        // synthesis and BER path — on multipath too.
+        let fast = fast_run(&sc, 12, 100_000, budget);
+        let full = run_ber_budgeted(&sc, 24, 12, 100_000, budget);
+        assert_eq!(
+            *fast, full.ber,
+            "fast/full BER counters diverge ({:?})",
+            sc.channel
+        );
+        assert!(!fast.stop.truncated(), "{:?}", sc.channel);
 
-    // Fast (BER-only) and full (BER + acquisition) runners must count the
-    // same bit errors: same trials, same per-trial seeds, same BER path.
-    let fast = run_ber_fast_budgeted(&sc, 24, 12, 100_000, budget);
-    let full = run_ber_budgeted(&sc, 24, 12, 100_000, budget);
-    assert_eq!(*fast, full.ber, "fast/full BER counters diverge");
-    assert!(!fast.stop.truncated());
-
-    // Thread invariance on the real link, driven through the public env
-    // knob (safe even if another test races: determinism means the result
-    // cannot depend on the resolved count).
-    std::env::set_var("UWB_THREADS", "4");
-    let threaded = run_ber_fast_budgeted(&sc, 24, 12, 100_000, budget);
-    std::env::set_var("UWB_THREADS", "1");
-    let serial = run_ber_fast_budgeted(&sc, 24, 12, 100_000, budget);
-    std::env::remove_var("UWB_THREADS");
-    assert_eq!(*threaded, *serial, "link BER depends on thread count");
-    assert_eq!(threaded.stop, serial.stop);
-    assert_eq!(threaded.stats.trials, serial.stats.trials);
+        // Thread invariance on the real link, driven through the public env
+        // knob (safe even if another test races: determinism means the
+        // result cannot depend on the resolved count).
+        std::env::set_var("UWB_THREADS", "4");
+        let threaded = fast_run(&sc, 12, 100_000, budget);
+        std::env::set_var("UWB_THREADS", "1");
+        let serial = fast_run(&sc, 12, 100_000, budget);
+        std::env::remove_var("UWB_THREADS");
+        assert_eq!(
+            *threaded, *serial,
+            "link BER depends on thread count ({:?})",
+            sc.channel
+        );
+        assert_eq!(threaded.stop, serial.stop);
+        assert_eq!(threaded.stats.trials, serial.stats.trials);
+    }
 }
 
 #[test]
@@ -137,9 +168,12 @@ fn truncation_is_reported_not_silent() {
     // Impossible error target + tiny budget: the old runner stopped at a
     // hard-coded 10 000 trials and returned an ordinary-looking outcome.
     // Now the stop reason says so.
-    let run = run_ber_fast_budgeted(&scenario(), 24, u64::MAX, u64::MAX, TrialBudget {
-        max_trials: 3,
-    });
+    let run = fast_run(
+        &scenario(),
+        u64::MAX,
+        u64::MAX,
+        TrialBudget { max_trials: 3 },
+    );
     assert_eq!(run.stop, LinkStopReason::Truncated);
     assert!(run.stop.truncated());
     assert_eq!(run.stats.trials, 3);
@@ -163,9 +197,9 @@ fn telemetry_is_thread_invariant_on_the_real_link() {
     let budget = TrialBudget { max_trials: 300 };
 
     std::env::set_var("UWB_THREADS", "1");
-    let serial = run_ber_fast_budgeted(&sc, 24, 12, 80_000, budget);
+    let serial = fast_run(&sc, 12, 80_000, budget);
     std::env::set_var("UWB_THREADS", "4");
-    let threaded = run_ber_fast_budgeted(&sc, 24, 12, 80_000, budget);
+    let threaded = fast_run(&sc, 12, 80_000, budget);
     std::env::remove_var("UWB_THREADS");
 
     assert_eq!(*serial, *threaded, "BER counters diverged");
@@ -267,9 +301,9 @@ fn truncated_run_telemetry_is_thread_invariant() {
     let sc = scenario();
     let budget = TrialBudget { max_trials: 9 };
     std::env::set_var("UWB_THREADS", "1");
-    let a = run_ber_fast_budgeted(&sc, 24, u64::MAX, u64::MAX, budget);
+    let a = fast_run(&sc, u64::MAX, u64::MAX, budget);
     std::env::set_var("UWB_THREADS", "3");
-    let b = run_ber_fast_budgeted(&sc, 24, u64::MAX, u64::MAX, budget);
+    let b = fast_run(&sc, u64::MAX, u64::MAX, budget);
     std::env::remove_var("UWB_THREADS");
 
     assert_eq!(a.stop, LinkStopReason::Truncated);

@@ -5,7 +5,9 @@ use uwb::gen1::{Gen1Config, Gen1PowerModel};
 use uwb::phy::power::PowerModel;
 use uwb::phy::pulse::{measure_bandwidth, PulseShape};
 use uwb::phy::{Channel, Gen2Config};
-use uwb::platform::link::{run_ber_fast, LinkScenario};
+use uwb::platform::link::{
+    run_ber_fast_streamed_tuned, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb::sim::time::SampleRate;
 use uwb::sim::ChannelModel;
 
@@ -75,14 +77,18 @@ fn cm3_link_closes() {
         preamble_repeats: 2,
         ..Gen2Config::nominal_100mbps()
     };
-    let c = run_ber_fast(
+    let c = run_ber_fast_streamed_tuned(
         &LinkScenario {
             channel: ChannelModel::Cm3,
             ..LinkScenario::awgn(config, 14.0, 7)
         },
         32,
+        DEFAULT_STREAM_BLOCK,
         30,
         60_000,
+        TrialBudget::default(),
+        None,
+        None,
     );
     assert!(c.rate() < 0.03, "CM3 at 14 dB: {}", c.rate());
 }

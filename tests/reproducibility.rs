@@ -4,8 +4,25 @@
 use uwb::gen1::{Gen1Config, Gen1Receiver, Gen1Transmitter};
 use uwb::adc::InterleaveMismatch;
 use uwb::phy::Gen2Config;
-use uwb::platform::link::{run_ber_fast, LinkScenario};
+use uwb::platform::link::{
+    run_ber_fast_streamed_tuned, BerRun, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 use uwb::sim::{ChannelModel, ChannelRealization, Interferer, Rand};
+
+/// A known-timing BER run of 24-byte payloads at the default block, batch
+/// and thread count.
+fn fast_run(scenario: &LinkScenario, target_errors: u64, max_bits: u64) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        scenario,
+        24,
+        DEFAULT_STREAM_BLOCK,
+        target_errors,
+        max_bits,
+        TrialBudget::default(),
+        None,
+        None,
+    )
+}
 
 #[test]
 fn channel_realizations_reproduce() {
@@ -27,8 +44,8 @@ fn ber_runs_reproduce() {
         interferer: Some(Interferer::cw(120e6, 0.5)),
         ..LinkScenario::awgn(config, 6.0, 1234)
     };
-    let a = run_ber_fast(&scenario, 24, 30, 30_000);
-    let b = run_ber_fast(&scenario, 24, 30, 30_000);
+    let a = fast_run(&scenario, 30, 30_000);
+    let b = fast_run(&scenario, 30, 30_000);
     assert_eq!(a.errors, b.errors);
     assert_eq!(a.total, b.total);
 }
@@ -39,13 +56,8 @@ fn different_seeds_differ() {
         preamble_repeats: 2,
         ..Gen2Config::nominal_100mbps()
     };
-    let a = run_ber_fast(
-        &LinkScenario::awgn(config.clone(), 4.0, 1),
-        24,
-        50,
-        50_000,
-    );
-    let b = run_ber_fast(&LinkScenario::awgn(config, 4.0, 2), 24, 50, 50_000);
+    let a = fast_run(&LinkScenario::awgn(config.clone(), 4.0, 1), 50, 50_000);
+    let b = fast_run(&LinkScenario::awgn(config, 4.0, 2), 50, 50_000);
     // Same statistics, different sample paths: totals may match but the
     // exact error counts at equal totals almost surely differ.
     assert!(

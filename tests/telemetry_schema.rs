@@ -11,9 +11,26 @@
 
 use uwb_obs::json::{parse, Json};
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_fast_budgeted, LinkScenario, TrialBudget};
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, BerRun, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 
 const SEED: u64 = 20050311;
+
+/// A known-timing BER run of 24-byte payloads at the default block, batch
+/// and thread count.
+fn fast_run(scenario: &LinkScenario, target_errors: u64, max_bits: u64, max_trials: u64) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        scenario,
+        24,
+        DEFAULT_STREAM_BLOCK,
+        target_errors,
+        max_bits,
+        TrialBudget { max_trials },
+        None,
+        None,
+    )
+}
 
 /// A real (small) engine run whose report we validate.
 fn run_report() -> String {
@@ -22,7 +39,7 @@ fn run_report() -> String {
         ..Gen2Config::nominal_100mbps()
     };
     let scenario = LinkScenario::awgn(config, 6.0, SEED);
-    let run = run_ber_fast_budgeted(&scenario, 24, 10, 50_000, TrialBudget { max_trials: 64 });
+    let run = fast_run(&scenario, 10, 50_000, 64);
     run.stats.to_json()
 }
 
@@ -171,7 +188,7 @@ fn telemetry_json_roundtrips_through_the_parser() {
         ..Gen2Config::nominal_100mbps()
     };
     let scenario = LinkScenario::awgn(config, 6.0, SEED);
-    let run = run_ber_fast_budgeted(&scenario, 24, 5, 20_000, TrialBudget { max_trials: 16 });
+    let run = fast_run(&scenario, 5, 20_000, 16);
     let timed = parse(&run.stats.telemetry.to_json()).expect("timed form parses");
     let det = parse(&run.stats.telemetry.to_json_deterministic()).expect("det form parses");
     let timed_stages = field(obj(&timed), "stages").as_arr().unwrap();

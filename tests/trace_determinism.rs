@@ -10,7 +10,7 @@
 //! on the `UWB_THREADS` environment variable.
 
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{LinkScenario, LinkWorker};
+use uwb_platform::link::{LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_platform::ErrorCounter;
 use uwb_sim::MonteCarlo;
 
@@ -27,11 +27,16 @@ fn scenario() -> LinkScenario {
 /// A small engine-backed link run with an explicit worker count.
 fn link_run(threads: usize) -> uwb_sim::montecarlo::RunOutcome<ErrorCounter> {
     let sc = scenario();
-    MonteCarlo::new(SEED, 48).threads(threads).chunk_size(8).run(
-        || LinkWorker::new(&sc),
-        |w, _trial, rng, acc: &mut ErrorCounter| w.trial_ber(&sc, 24, rng, acc),
-        |_| false,
-    )
+    MonteCarlo::new(SEED, 48)
+        .threads(threads)
+        .chunk_size(8)
+        .run(
+            || LinkWorker::new(&sc),
+            |w, _trial, rng, acc: &mut ErrorCounter| {
+                w.trial_ber_streamed(&sc, 24, DEFAULT_STREAM_BLOCK, rng, acc)
+            },
+            |_| false,
+        )
 }
 
 #[test]
