@@ -21,8 +21,8 @@
 //! * **A thread-local plan cache** — [`cached_plan`] returns this thread's
 //!   memoized [`Fft`] for a given size, so twiddle and bit-reversal tables are
 //!   computed once per (worker thread, size) instead of per call.
-//!   [`fft_plans_built`] exposes a process-wide construction counter that
-//!   tests use to assert the cache is effective.
+//!   [`fft_plans_built`] exposes a per-thread construction counter (the
+//!   cache's own scope) that tests use to assert the cache is effective.
 //! * **Packed real transforms** — [`fft_convolve_real`] packs both real
 //!   inputs into one complex signal (`z = a + i·b`), so a real×real linear
 //!   convolution costs two transforms instead of three. The unpacking
@@ -30,31 +30,36 @@
 //!   ≤ 1e-12 relative error rather than bitwise (tolerance documented and
 //!   parity-tested in `tests/fft_parity.rs`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::complex::Complex;
 use crate::math::next_pow2;
 use crate::scratch::DspScratch;
 
-/// Process-wide count of [`Fft`] plan constructions (see [`fft_plans_built`]).
-static PLANS_BUILT: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`Fft`] plans constructed process-wide since program start.
-///
-/// Diagnostics only: the allocation/plan-cache regression tests snapshot this
-/// counter before and after a batch of steady-state trials to prove plans are
-/// built at most once per (worker thread, size).
-pub fn fft_plans_built() -> u64 {
-    PLANS_BUILT.load(Ordering::Relaxed)
+thread_local! {
+    /// This thread's count of plan constructions (see [`fft_plans_built`]).
+    static PLANS_BUILT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records a plan construction in the shared counters (used by the f32
-/// acquisition FFT in [`crate::fft32`] so the plan-cache regression tests
-/// cover both precisions).
+/// Number of FFT plans (either precision) constructed on the calling thread
+/// since it started.
+///
+/// Diagnostics only: the plan-cache regression tests snapshot this counter
+/// before and after a batch of steady-state work to prove plans are built at
+/// most once per (worker thread, size). The count has the plan cache's
+/// scope — one thread — so tests running in parallel cannot disturb it. The
+/// process-wide total is the `uwb_obs` counter `fft_plans_built`.
+pub fn fft_plans_built() -> u64 {
+    PLANS_BUILT.with(Cell::get)
+}
+
+/// Records a plan construction in this thread's count and the process-wide
+/// telemetry counter (shared with the f32 acquisition FFT in
+/// [`crate::fft32`] so the plan-cache regression tests cover both
+/// precisions).
 pub(crate) fn note_plan_built() {
-    PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
+    PLANS_BUILT.with(|c| c.set(c.get() + 1));
     uwb_obs::counter!("fft_plans_built").inc();
 }
 
@@ -101,8 +106,7 @@ impl Fft {
     /// Panics if `n` is zero or not a power of two.
     pub fn new(n: usize) -> Self {
         assert!(n > 0 && n.is_power_of_two(), "FFT size must be a power of two");
-        PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
-        uwb_obs::counter!("fft_plans_built").inc();
+        note_plan_built();
         let bits = n.trailing_zeros();
         let mut rev = vec![0usize; n];
         if bits > 0 {

@@ -124,26 +124,71 @@ pub struct ChannelRealization {
     taps: Vec<Tap>,
 }
 
-/// Stable insertion sort by delay — the identical permutation a stable
-/// `slice::sort_by` produces, but without that sort's temporary-buffer
-/// allocation. Tap counts are small (tens to a few hundred), so the O(n²)
-/// worst case never matters; what matters is that the per-trial
-/// [`ChannelRealization::regenerate`] path stays allocation-free.
-fn sort_taps_stable(taps: &mut [Tap]) {
-    for i in 1..taps.len() {
-        let mut j = i;
-        while j > 0 && taps[j - 1].delay_ns > taps[j].delay_ns {
-            taps.swap(j - 1, j);
-            j -= 1;
+/// Stable natural merge sort by delay — the identical permutation a stable
+/// `slice::sort_by` produces (a stable sort's permutation is unique), but
+/// allocation-free once `taps` has reached its high-water capacity: the
+/// merge buffer is the Vec's spare capacity, filled by extending it to
+/// twice its length and truncated back afterwards.
+///
+/// Saleh–Valenzuela rays arrive in non-decreasing delay within a cluster,
+/// so the input is a handful of sorted runs (one per cluster) that overlap
+/// in delay. Each pass merges adjacent run pairs, taking from the left run
+/// on ties, which halves the run count: O(n log r) for r clusters, where an
+/// insertion sort would do O(n²) swaps on overlapping clusters.
+fn sort_taps_stable(taps: &mut Vec<Tap>) {
+    let n = taps.len();
+    // End of the non-decreasing run starting at `lo`.
+    let run_end = |data: &[Tap], lo: usize| {
+        let mut i = lo + 1;
+        while i < n && data[i - 1].delay_ns <= data[i].delay_ns {
+            i += 1;
+        }
+        i
+    };
+    if run_end(taps, 0) == n {
+        return; // already sorted (e.g. a single tap): no merge buffer needed
+    }
+    taps.extend_from_within(..);
+    let (data, buf) = taps.split_at_mut(n);
+    while run_end(data, 0) < n {
+        let mut lo = 0;
+        while lo < n {
+            let mid = run_end(data, lo);
+            if mid == n {
+                break;
+            }
+            let hi = run_end(data, mid);
+            let (mut i, mut j) = (lo, mid);
+            for slot in &mut buf[lo..hi] {
+                if j == hi || (i < mid && data[i].delay_ns <= data[j].delay_ns) {
+                    *slot = data[i];
+                    i += 1;
+                } else {
+                    *slot = data[j];
+                    j += 1;
+                }
+            }
+            data[lo..hi].copy_from_slice(&buf[lo..hi]);
+            lo = hi;
         }
     }
+    taps.truncate(n);
 }
 
-/// Normalizes total tap energy to one and sorts by delay, in place.
-fn finalize_taps(taps: &mut [Tap]) {
+/// Normalizes total tap energy to one and sorts by delay, in place. Finite
+/// delays and finite energy make every realization's taps — and hence its
+/// discretized response — finite, and give the sort a total order.
+fn finalize_taps(taps: &mut Vec<Tap>) {
     assert!(!taps.is_empty(), "channel needs at least one tap");
+    assert!(
+        taps.iter().all(|t| t.delay_ns.is_finite()),
+        "channel tap delays must be finite"
+    );
     let energy: f64 = taps.iter().map(|t| t.gain.norm_sqr()).sum();
-    assert!(energy > 0.0, "channel taps must carry energy");
+    assert!(
+        energy > 0.0 && energy.is_finite(),
+        "channel taps must carry finite, non-zero energy"
+    );
     let scale = 1.0 / energy.sqrt();
     for t in taps.iter_mut() {
         t.gain = t.gain * scale;
@@ -167,7 +212,8 @@ impl ChannelRealization {
     ///
     /// # Panics
     ///
-    /// Panics if `taps` is empty or all gains are zero.
+    /// Panics if `taps` is empty, all gains are zero, or a delay or the
+    /// total energy is not finite.
     pub fn from_taps(mut taps: Vec<Tap>) -> Self {
         finalize_taps(&mut taps);
         ChannelRealization { taps }
@@ -218,10 +264,10 @@ impl ChannelRealization {
         taps.clear();
         let mut t_cluster = 0.0; // first cluster at 0 by convention
         while t_cluster <= max_cluster_delay {
+            let cluster_energy = (-t_cluster / p.cluster_decay).exp();
             let mut tau = 0.0; // first ray of each cluster at the cluster time
             while tau <= max_ray_excess {
-                let mean_energy =
-                    (-t_cluster / p.cluster_decay).exp() * (-tau / p.ray_decay).exp();
+                let mean_energy = cluster_energy * (-tau / p.ray_decay).exp();
                 // Log-normal amplitude fading about the mean energy, with the
                 // standard -sigma^2/2 correction so E[|g|^2] = mean_energy.
                 let x = rng.gaussian() * sigma_ln;
@@ -498,6 +544,90 @@ mod tests {
         for w in c.taps().windows(2) {
             assert!(w[0].delay_ns <= w[1].delay_ns);
         }
+    }
+
+    /// `from_taps` on `taps` against the stable-sort oracle: the same
+    /// normalization (energy summed in generation order), then
+    /// `slice::sort_by`. Gains are distinct, so the permutation is visible.
+    fn assert_matches_sort_by(taps: Vec<Tap>) {
+        let energy: f64 = taps.iter().map(|t| t.gain.norm_sqr()).sum();
+        let scale = 1.0 / energy.sqrt();
+        let mut want: Vec<Tap> = taps
+            .iter()
+            .map(|t| Tap {
+                delay_ns: t.delay_ns,
+                gain: t.gain * scale,
+            })
+            .collect();
+        want.sort_by(|a, b| a.delay_ns.partial_cmp(&b.delay_ns).unwrap());
+        assert_eq!(ChannelRealization::from_taps(taps).taps(), &want[..]);
+    }
+
+    /// Clusters as sorted runs of delays, tagged by generation index.
+    fn clustered_taps(clusters: &[&[f64]]) -> Vec<Tap> {
+        clusters
+            .iter()
+            .flat_map(|c| c.iter())
+            .enumerate()
+            .map(|(i, &d)| Tap {
+                delay_ns: d,
+                gain: Complex::new(1.0 + i as f64, -(i as f64)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_sort_matches_stable_sort_on_cross_cluster_ties() {
+        // Exact delay ties inside and across overlapping clusters, an odd
+        // cluster count (an unpaired run in the first pass), a one-tap
+        // cluster, a cluster fully inside another, and a sorted input.
+        let cases: [&[&[f64]]; 5] = [
+            &[&[0.0, 1.0, 2.0, 2.0, 5.0], &[1.0, 2.0, 2.0, 4.0], &[0.0, 2.0, 5.0]],
+            &[&[3.0], &[3.0], &[3.0], &[1.0, 3.0]],
+            &[&[0.0, 10.0, 20.0], &[5.0, 10.0, 15.0], &[10.0], &[0.0, 20.0, 30.0]],
+            &[&[0.0, 1.0, 2.0, 3.0]],
+            &[&[4.0, 4.0], &[2.0, 4.0, 6.0], &[1.0], &[0.0, 4.0], &[4.0, 5.0]],
+        ];
+        for clusters in cases {
+            assert_matches_sort_by(clustered_taps(clusters));
+        }
+    }
+
+    #[test]
+    fn merge_sort_matches_stable_sort_on_sv_draws() {
+        // Real CM3 draws, with delays snapped to a 1 ns grid so rays from
+        // different clusters tie exactly.
+        for seed in 0..20 {
+            let ch = ChannelRealization::generate(ChannelModel::Cm3, &mut Rand::new(seed));
+            let mut taps = ch.taps().to_vec();
+            let mut rng = Rand::new(seed);
+            for t in &mut taps {
+                t.delay_ns = t.delay_ns.round();
+            }
+            // Shuffle cluster order so the input is several overlapping runs.
+            for i in (1..taps.len()).rev() {
+                taps.swap(i, rng.below(i + 1));
+            }
+            assert_matches_sort_by(taps);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must be finite")]
+    fn non_finite_delay_panics() {
+        ChannelRealization::from_taps(vec![Tap {
+            delay_ns: f64::NAN,
+            gain: Complex::ONE,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-zero energy")]
+    fn infinite_gain_panics() {
+        ChannelRealization::from_taps(vec![Tap {
+            delay_ns: 0.0,
+            gain: Complex::new(f64::INFINITY, 0.0),
+        }]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use uwb_net::{plan_network, NetAccumulator, NetScenario, NetWorker};
 use uwb_phy::Gen2Config;
 use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker};
 use uwb_platform::ErrorCounter;
-use uwb_sim::Rand;
+use uwb_sim::{ChannelModel, Rand};
 
 /// System allocator wrapper that counts every allocation entry point.
 ///
@@ -119,6 +119,41 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     );
     // Sanity: the loop actually demodulated bits.
     assert!(counter.total > 0, "trials produced no bits");
+
+    // --- CM3 multipath: the same streamed trial on a fresh Saleh–Valenzuela
+    //     draw per trial — tap regeneration (whose merge sort borrows the
+    //     tap Vec's spare capacity), discretization, the real-excitation
+    //     kernel's rails and the convolution tail. Tap counts vary per draw,
+    //     so warm-up runs exactly the trial seeds replayed below: every
+    //     buffer has then reached that range's high-water mark. ---
+    let cm3 = LinkScenario {
+        channel: ChannelModel::Cm3,
+        ..LinkScenario::awgn(scenario.config.clone(), 10.0, 20050317)
+    };
+    let mut cm3_worker = LinkWorker::new(&cm3);
+    let mut cm3_counter = ErrorCounter::default();
+    const CM3_TRIALS: std::ops::Range<u64> = 0..40;
+    for t in CM3_TRIALS {
+        let mut rng = Rand::for_trial(cm3.seed, t);
+        cm3_worker.trial_ber_streamed(&cm3, 32, BLOCK, &mut rng, &mut cm3_counter);
+    }
+
+    let before = thread_allocs();
+    for t in CM3_TRIALS {
+        let mut rng = Rand::for_trial(cm3.seed, t);
+        cm3_worker.trial_ber_streamed(&cm3, 32, BLOCK, &mut rng, &mut cm3_counter);
+    }
+    let after = thread_allocs();
+
+    assert_eq!(
+        after - before,
+        0,
+        "replayed CM3 streamed trials must not allocate ({} allocations \
+         across {} trials)",
+        after - before,
+        CM3_TRIALS.end - CM3_TRIALS.start
+    );
+    assert!(cm3_counter.total > 0, "CM3 trials produced no bits");
 
     // --- Batched stage-sweep path: same contract, 8 trials per batch. ---
     // The batch arenas, payload snapshots, and synthesis-metadata vectors
