@@ -28,6 +28,11 @@
 //!     "delivered_frac_8user": <deterministic delivered/offered>,
 //!     "mean_latency_slots_8user": <deterministic mean delivery latency>
 //!   },
+//!   "thread_scaling": {
+//!     "mac_run_1k_2rep_1t_ms": <ms per 2-replication 1000-user run, 1 thread>,
+//!     "mac_run_1k_2rep_2t_ms": <ms per the same run at 2 threads>,
+//!     "mac_run_1k_2rep_speedup": <1-thread ms / 2-thread ms>
+//!   },
 //!   "stage_ns_per_trial": { "stage:<name>": <ns per trial>, ... }
 //! }
 //! ```
@@ -36,7 +41,10 @@
 //! quantities, bit-deterministic for the fixed scenario/seed — they gate
 //! not as perf numbers but as cheap whole-stack determinism pins (any
 //! drift means the traffic, CSMA, PHY, or ARQ behavior changed). The
-//! `stage:` profile is informational.
+//! `thread_scaling` row (engine wall time of a whole 2-replication
+//! 1,000-user run, worker construction included, median of 3 alternated
+//! runs per thread count) and the `stage:` profile are informational;
+//! the speedup can only exceed 1 on a host with at least 2 cores.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -147,9 +155,9 @@ fn main() -> ExitCode {
     });
 
     // 3. One warm 1,000-user clustered-city trial on the sparse graph.
+    let mut city = MacScenario::clustered_city(100, 10, 9.0, 1.0, EXPERIMENT_SEED);
+    city.horizon_slots = 60;
     {
-        let mut city = MacScenario::clustered_city(100, 10, 9.0, 1.0, EXPERIMENT_SEED);
-        city.horizon_slots = 60;
         let city_plan = plan_mac(&city);
         let mut worker = MacWorker::new(&city_plan);
         let mut acc = MacAccumulator::default();
@@ -162,7 +170,23 @@ fn main() -> ExitCode {
         });
     }
 
-    // 4. The deterministic physics pins from the full measured run
+    // 4. Engine thread scaling: a whole 2-replication city run (one
+    //    replication per engine pull) at 1 and at 2 threads, alternated.
+    city.replications = 2;
+    let mut run_ms = [Vec::new(), Vec::new()];
+    for _ in 0..3 {
+        for (slot, threads) in [1usize, 2].into_iter().enumerate() {
+            let report = run_mac_plan_threads(plan_mac(&city), threads);
+            run_ms[slot].push(report.stats.wall.as_secs_f64() * 1e3);
+        }
+    }
+    let [run_1t_ms, run_2t_ms] = run_ms.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    let speedup = run_1t_ms / run_2t_ms;
+
+    // 5. The deterministic physics pins from the full measured run
     //    (1 thread so the baseline reproduces anywhere).
     let report = run_mac_plan_threads(plan_mac(&scenario), 1);
     let delivered_frac = report.delivered_fraction();
@@ -195,6 +219,11 @@ fn main() -> ExitCode {
         "    \"mean_latency_slots_8user\": {mean_latency_slots:.4}\n"
     ));
     json.push_str("  },\n");
+    json.push_str("  \"thread_scaling\": {\n");
+    json.push_str(&format!("    \"mac_run_1k_2rep_1t_ms\": {run_1t_ms:.1},\n"));
+    json.push_str(&format!("    \"mac_run_1k_2rep_2t_ms\": {run_2t_ms:.1},\n"));
+    json.push_str(&format!("    \"mac_run_1k_2rep_speedup\": {speedup:.3}\n"));
+    json.push_str("  },\n");
     json.push_str("  \"stage_ns_per_trial\": {\n");
     let stages = &telemetry.stages;
     for (i, st) in stages.iter().enumerate() {
@@ -219,6 +248,10 @@ fn main() -> ExitCode {
     println!(
         "{:<26} {:>12.2} slots mean latency",
         "mean_latency_slots_8user", mean_latency_slots
+    );
+    println!(
+        "{:<26} {:>12.1} ms at 1 thread, {run_2t_ms:.1} ms at 2 threads ({speedup:.2}x, info)",
+        "mac_run_1k_2rep", run_1t_ms
     );
     println!("\n8-user MAC report ({} replications):", report.stats.trials);
     print!("{}", report.table());
@@ -245,13 +278,15 @@ fn main() -> ExitCode {
 /// Metric policy for the `uwb-macbench-v1` schema: kernel timings gate;
 /// frames/s is load-sensitive (info only); the delivered fraction and
 /// mean latency gate as determinism pins (bit-stable for the fixed seed,
-/// so any drift means the MAC/PHY behavior changed); the `stage:` profile
-/// is informational.
+/// so any drift means the MAC/PHY behavior changed); the thread-scaling
+/// row and the `stage:` profile are informational.
 fn metric_policy(key: &str) -> MetricPolicy {
     if key == "schema" || key.starts_with("stage:") {
         MetricPolicy::Skip
-    } else if key == "frames_per_s_8user" {
+    } else if key == "frames_per_s_8user" || key == "mac_run_1k_2rep_speedup" {
         MetricPolicy::InfoHigherBetter
+    } else if key.starts_with("mac_run_1k_2rep_") {
+        MetricPolicy::InfoLowerBetter
     } else {
         MetricPolicy::Gate
     }

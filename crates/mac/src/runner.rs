@@ -21,6 +21,15 @@
 //! for any `UWB_THREADS` because trials are merged by the engine's
 //! ordered-prefix reduction, exactly as in `uwb-net`.
 //!
+//! Replications are scheduled one per engine pull
+//! ([`MonteCarlo::chunk_size`]`(1)`): a trial is a whole event loop, and a
+//! run has only a few, so the default 8-trial chunk would put all of them
+//! on one worker. The run has no stop rule (constant-false predicate), so
+//! every replication contributes whatever the chunking, and the
+//! [`MacAccumulator`] and telemetry merges are integer and associative —
+//! counters, telemetry and the worst-K forensics do not depend on the
+//! chunk size or the thread count.
+//!
 //! ## Waveform retention
 //!
 //! A transmission's record must stay resident until the last victim whose
@@ -665,7 +674,8 @@ pub fn run_mac_plan_threads(plan: MacPlan, threads: usize) -> MacReport {
 }
 
 fn run_mac_engine(plan: MacPlan, threads: Option<usize>) -> MacReport {
-    let mut engine = MonteCarlo::new(plan.seed(), plan.params.replications);
+    // One replication per pull (see "Determinism" above).
+    let mut engine = MonteCarlo::new(plan.seed(), plan.params.replications).chunk_size(1);
     if let Some(t) = threads {
         engine = engine.threads(t);
     }

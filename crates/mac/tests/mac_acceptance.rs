@@ -174,17 +174,53 @@ fn hidden_terminals_collide_and_arq_recovers() {
     assert_eq!(rc.offered_total, rc.delivered_total + rc.dropped_total);
 }
 
+/// Runs `sc` at 1 thread and at each of `threads`, and requires the
+/// counters, the deterministic telemetry and the flight-recorder report to
+/// match the 1-thread run bit for bit. Replications are scheduled one per
+/// engine pull, so every multi-thread run here merges results that
+/// different workers computed.
+fn assert_thread_invariant(sc: &MacScenario, threads: &[usize]) {
+    let base = run_mac_plan_threads(plan_mac(sc), 1);
+    let base_fp = fingerprint(&base);
+    assert!(base_fp.iter().any(|&x| x > 0));
+    let base_telem = base.stats.telemetry.to_json_deterministic();
+    let base_worst = uwb_obs::recorder::render_report(&base.stats.telemetry.worst);
+    for &t in threads {
+        let r = run_mac_plan_threads(plan_mac(sc), t);
+        assert_eq!(
+            r.stats.threads,
+            t.min(sc.replications as usize),
+            "one worker per replication, up to the request"
+        );
+        assert_eq!(base_fp, fingerprint(&r), "thread count {t} changed the counters");
+        assert_eq!(
+            base_telem,
+            r.stats.telemetry.to_json_deterministic(),
+            "thread count {t} changed the telemetry"
+        );
+        assert_eq!(
+            base_worst,
+            uwb_obs::recorder::render_report(&r.stats.telemetry.worst),
+            "thread count {t} changed the flight-recorder report"
+        );
+    }
+}
+
 #[test]
 fn reports_are_bit_identical_across_thread_counts() {
     let mut sc = MacScenario::ring(4, 9.0, 0.8, 31);
     sc.horizon_slots = 250;
     sc.replications = 4;
-    let baseline = fingerprint(&run_mac_plan_threads(plan_mac(&sc), 1));
-    assert!(baseline.iter().any(|&x| x > 0));
-    for threads in [2, 4, 8] {
-        let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), threads));
-        assert_eq!(baseline, r, "thread count {threads} changed the counters");
-    }
+    assert_thread_invariant(&sc, &[2, 4, 8]);
+}
+
+#[test]
+fn uneven_split_over_two_workers_is_bit_identical() {
+    // 3 replications on 2 workers: one worker runs two, the other one.
+    let mut sc = MacScenario::ring(4, 9.0, 1.0, 4093);
+    sc.horizon_slots = 250;
+    sc.replications = 3;
+    assert_thread_invariant(&sc, &[2, 4]);
 }
 
 /// Larger thread-parity sweep for `scripts/check.sh mac` (slow: 8 users,
@@ -198,10 +234,5 @@ fn eight_user_report_is_bit_identical_across_thread_counts() {
     );
     sc.horizon_slots = 400;
     sc.replications = 4;
-    let baseline = fingerprint(&run_mac_plan_threads(plan_mac(&sc), 1));
-    assert!(baseline.iter().any(|&x| x > 0));
-    for threads in [2, 4, 8] {
-        let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), threads));
-        assert_eq!(baseline, r, "thread count {threads} changed the counters");
-    }
+    assert_thread_invariant(&sc, &[2, 4, 8]);
 }

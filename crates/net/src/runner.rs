@@ -5,10 +5,22 @@
 //! packet simultaneously; every receiver decodes its own packet out of the
 //! superposition of its clean waveform, every coupled foreign waveform
 //! (fixed ascending-transmitter mixing order), and its calibrated receiver
-//! noise. Rounds are independent by construction — all per-round state is
+//! noise.
+//!
+//! ## Determinism
+//!
+//! Rounds are independent by construction — all per-round state is
 //! re-derived from `Rand::for_trial(link_seed, round)` — so the engine's
 //! ordered-prefix merge makes the whole network run bit-identical for any
-//! `UWB_THREADS`.
+//! `UWB_THREADS`. Rounds are scheduled one per engine pull
+//! ([`MonteCarlo::chunk_size`]`(1)`) so short runs spread over every
+//! worker. The run has no stop rule (constant-false predicate), so every
+//! round contributes whatever the chunking, and the [`NetAccumulator`]
+//! and telemetry merges are integer and associative: neither the chunk
+//! size nor the thread count changes a counter, the telemetry or the
+//! worst-K forensics.
+//!
+//! ## Event-driven rounds
 //!
 //! Rounds are **event-driven** over the sparse interference graph: victims
 //! are processed in ascending order; each transmitter's clean waveform is
@@ -321,7 +333,8 @@ pub fn run_plan_threads(plan: NetPlan, threads: usize) -> NetReport {
 }
 
 fn run_plan_engine(plan: NetPlan, threads: Option<usize>) -> NetReport {
-    let mut engine = MonteCarlo::new(plan.seed, plan.rounds);
+    // One round per pull: no stop rule, so chunking cannot change results.
+    let mut engine = MonteCarlo::new(plan.seed, plan.rounds).chunk_size(1);
     if let Some(t) = threads {
         engine = engine.threads(t);
     }

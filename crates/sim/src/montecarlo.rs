@@ -12,7 +12,9 @@
 //!   `(master_seed, trial)` — streams never depend on which worker ran the
 //!   trial;
 //! * expensive per-run state (transmitters, receivers, monitors) is built
-//!   once per worker by a `make_state` closure and reused across trials;
+//!   once per worker by a `make_state` closure — on the worker's first
+//!   pulled chunk, so an idle worker builds nothing — and reused across
+//!   trials; at most one worker per chunk is started;
 //! * per-chunk partial results are merged through the [`Merge`] trait in
 //!   strict chunk order (an ordered-prefix reduction), and the early-stop
 //!   predicate is evaluated at chunk boundaries of that deterministic
@@ -23,6 +25,25 @@
 //! Thread count comes from the `UWB_THREADS` environment variable (0 or
 //! unset → `std::thread::available_parallelism`), overridable per run with
 //! [`MonteCarlo::threads`].
+//!
+//! ## Chunk size
+//!
+//! The chunk is the unit of scheduling *and* of early stopping, so it is
+//! chosen by what the run's stop predicate needs, never by thread count:
+//!
+//! * **stop-rule runs** (the link BER runners) keep the default 8: the
+//!   chunk boundaries define the deterministic stop prefix, so changing
+//!   the chunk would change which trials contribute;
+//! * **fixed-count runs** (constant-false predicate: the MAC replications,
+//!   the network rounds) pull one trial per chunk
+//!   ([`MonteCarlo::chunk_size`]`(1)`). Their trials are long (a whole
+//!   event loop or network round), so an 8-trial chunk would put a whole
+//!   short run on one worker while the others idle. With no stop the
+//!   contributing set is every trial whatever the chunking, and the merge
+//!   of results, telemetry and the worst-K forensics is associative, so
+//!   the outcome is bit-identical for any chunk size and thread count;
+//! * the chunk size must never be derived from the thread count — that
+//!   would make a stop-rule result depend on `UWB_THREADS`.
 //!
 //! ## Telemetry
 //!
@@ -89,7 +110,8 @@ pub struct RunStats {
     pub trials_executed: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// Worker threads used.
+    /// Worker threads used: the requested count capped at the number of
+    /// scheduling chunks (a worker is only started if it can get one).
     pub threads: usize,
     /// Why the run stopped.
     pub stop_reason: StopReason,
@@ -219,7 +241,9 @@ pub struct MonteCarlo {
     pub max_trials: u64,
     /// Trials per scheduling chunk. The stop predicate is evaluated at
     /// chunk boundaries, so smaller chunks stop closer to the target at the
-    /// cost of more scheduling overhead.
+    /// cost of more scheduling overhead. See the module's "Chunk size"
+    /// rule: stop-rule runs keep 8, fixed-count runs pull 1, and it never
+    /// depends on the thread count.
     pub chunk_size: u64,
     /// Explicit thread count (`None` → `UWB_THREADS` / available cores).
     pub threads: Option<usize>,
@@ -242,7 +266,10 @@ impl MonteCarlo {
         self
     }
 
-    /// Overrides the chunk size.
+    /// Overrides the chunk size. Fixed-count runs (constant-false stop
+    /// predicate) with long trials use 1 so every worker gets work; runs
+    /// with a stop rule keep the default 8, whose boundaries define their
+    /// stop prefix. Never derive it from the thread count.
     pub fn chunk_size(mut self, n: u64) -> Self {
         self.chunk_size = n.max(1);
         self
@@ -385,8 +412,11 @@ impl MonteCarlo {
         // whether this thread doubles as the worker (single-threaded mode)
         // or only coordinates (multi-threaded mode).
         let _ = uwb_obs::take_thread_telemetry();
-        let threads = resolve_threads(self.threads);
         let n_chunks = self.max_trials.div_ceil(chunk);
+        // A worker beyond the chunk count could never pull work.
+        let threads = resolve_threads(self.threads)
+            .min(usize::try_from(n_chunks).unwrap_or(usize::MAX))
+            .max(1);
 
         let next_chunk = AtomicU64::new(0);
         // Chunk index after which no merging happens (u64::MAX = undecided).
@@ -401,21 +431,28 @@ impl MonteCarlo {
         });
 
         let worker = || {
-            let mut state = make_state();
-            // Discard any telemetry residue this thread accumulated outside
-            // the engine (only possible in single-threaded mode, where the
-            // caller's thread is the worker): the per-run snapshot must
-            // cover exactly the contributing trials for any thread count.
-            let _ = uwb_obs::take_thread_telemetry();
+            // Built on the first pulled chunk, so a worker that never gets
+            // work never pays for its state.
+            let mut state: Option<S> = None;
             loop {
                 let c = next_chunk.fetch_add(1, Ordering::Relaxed);
                 if c >= n_chunks || c > stop_chunk.load(Ordering::Relaxed) {
                     break;
                 }
+                let state = state.get_or_insert_with(|| {
+                    let s = make_state();
+                    // Discard construction telemetry and any residue this
+                    // thread accumulated outside the engine (the caller's
+                    // thread is the worker in single-threaded mode): the
+                    // per-run snapshot must cover exactly the contributing
+                    // trials for any thread count.
+                    let _ = uwb_obs::take_thread_telemetry();
+                    s
+                });
                 let lo = c * chunk;
                 let hi = ((c + 1) * chunk).min(self.max_trials);
                 let mut local = R::default();
-                chunk_body(&mut state, lo, hi, &mut local);
+                chunk_body(state, lo, hi, &mut local);
                 // Drain this chunk's telemetry; it merges (or is discarded)
                 // together with the chunk's result.
                 let telem = uwb_obs::take_thread_telemetry();
@@ -625,6 +662,126 @@ mod tests {
         assert_eq!(out.value, 64);
         let n = builds.load(Ordering::Relaxed);
         assert!((1..=2).contains(&n), "state built once per worker, got {n}");
+    }
+
+    #[test]
+    fn fixed_count_runs_are_chunk_and_thread_invariant() {
+        // Constant-false predicate: every trial contributes whatever the
+        // chunking, so chunk 1 (one trial per pull) must reproduce chunk 8
+        // bit for bit — value, deterministic telemetry and worst-K report.
+        let run = |chunk: u64, threads: usize| {
+            MonteCarlo::new(23, 61)
+                .chunk_size(chunk)
+                .threads(threads)
+                .run(
+                    || (),
+                    |_, t, rng, acc: &mut Tally| batched_toy_trial(t, rng, acc),
+                    |_| false,
+                )
+        };
+        let reference = run(8, 1);
+        assert_eq!(reference.value.trials, 61);
+        for chunk in [1u64, 8] {
+            for threads in [1usize, 2, 4, 8] {
+                let out = run(chunk, threads);
+                let tag = format!("chunk={chunk} threads={threads}");
+                assert_eq!(reference.value, out.value, "{tag}");
+                assert_eq!(out.stats.trials, 61, "{tag}");
+                assert_eq!(out.stats.trials_executed, 61, "{tag}");
+                assert_eq!(
+                    reference.stats.telemetry.to_json_deterministic(),
+                    out.stats.telemetry.to_json_deterministic(),
+                    "{tag}"
+                );
+                assert_eq!(
+                    uwb_obs::recorder::render_report(&reference.stats.telemetry.worst),
+                    uwb_obs::recorder::render_report(&out.stats.telemetry.worst),
+                    "{tag}"
+                );
+            }
+        }
+        if uwb_obs::enabled() {
+            assert!(!reference.stats.telemetry.worst.is_empty());
+        }
+    }
+
+    #[test]
+    fn single_trial_run_builds_state_once() {
+        use std::sync::atomic::AtomicUsize;
+        let builds = AtomicUsize::new(0);
+        let out = MonteCarlo::new(3, 1).threads(4).run(
+            || {
+                builds.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _, _, acc: &mut u64| *acc += 1,
+            |_| false,
+        );
+        assert_eq!(out.value, 1);
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(out.stats.threads, 1, "one chunk needs one worker");
+        // A worker that pulls no chunk builds nothing.
+        let out = MonteCarlo::new(3, 0).threads(4).run(
+            || {
+                builds.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _, _, acc: &mut u64| *acc += 1,
+            |_| false,
+        );
+        assert_eq!(out.value, 0);
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "empty run built state");
+    }
+
+    #[test]
+    fn reported_threads_are_the_workers_started() {
+        let run = |trials: u64, chunk: u64, threads: usize| {
+            MonteCarlo::new(1, trials)
+                .chunk_size(chunk)
+                .threads(threads)
+                .run(|| (), |_, _, _, acc: &mut u64| *acc += 1, |_| false)
+                .stats
+                .threads
+        };
+        // Two trials in one default chunk: one worker, not the 8 requested.
+        assert_eq!(run(2, 8, 8), 1);
+        // One trial per pull: one worker per trial, up to the request.
+        assert_eq!(run(2, 1, 8), 2);
+        assert_eq!(run(100, 1, 3), 3);
+        assert_eq!(run(0, 8, 4), 1);
+    }
+
+    #[test]
+    fn make_state_telemetry_never_reaches_run_stats() {
+        for threads in [1usize, 2, 4] {
+            // Caller-thread residue must be discarded too.
+            uwb_obs::event!("mc_residue");
+            let out = MonteCarlo::new(9, 16)
+                .chunk_size(1)
+                .threads(threads)
+                .run(
+                    || {
+                        let _sp = uwb_obs::span!("mc_make_state_stage");
+                        uwb_obs::event!("mc_make_state");
+                        uwb_obs::hist!("mc_make_state_hist", 7);
+                    },
+                    |_, _, _, acc: &mut u64| {
+                        uwb_obs::event!("mc_trial_event");
+                        *acc += 1;
+                    },
+                    |_| false,
+                );
+            let t = &out.stats.telemetry;
+            assert_eq!(out.value, 16);
+            assert_eq!(t.event_count("mc_make_state"), 0, "{threads} threads");
+            assert_eq!(t.event_count("mc_residue"), 0, "{threads} threads");
+            assert!(t.stage("mc_make_state_stage").is_none(), "{threads} threads");
+            assert!(
+                !t.to_json_deterministic().contains("mc_make_state_hist"),
+                "{threads} threads"
+            );
+            if uwb_obs::enabled() {
+                assert_eq!(t.event_count("mc_trial_event"), 16, "{threads} threads");
+            }
+        }
     }
 
     #[test]

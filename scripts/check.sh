@@ -50,6 +50,13 @@
 #                             tests, the allocation gate (covers the warm
 #                             batched trial), and the smoke binary under
 #                             UWB_BATCH=1 and UWB_BATCH=8
+#   scripts/check.sh perfbench
+#                             repository benchmark sanity: perfbench's own
+#                             unit tests, then a 1 s untraced run of each
+#                             workload at seed 0; fails unless every result
+#                             line says "correct": true (stored fingerprints,
+#                             1-thread parity, conservation laws). Not part
+#                             of `all`: CI runs it as its own job
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             smoke, then obs, then stream, then net, then
 #                             mac, then batch
@@ -156,6 +163,31 @@ batch() {
     UWB_BATCH=8 ./target/release/smoke
 }
 
+perfbench() {
+    local manifest=perfbench/Cargo.toml
+    # Build (and write traces) outside the benchmark's own directory.
+    export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+    echo "== perfbench: benchmark unit tests =="
+    cargo test --release --offline --manifest-path "$manifest"
+    echo "== perfbench: 1 s run per workload, seed 0 (fingerprints, thread parity) =="
+    local w line
+    for w in link_acq_awgn link_ber_cm3 net_ring_8user mac_city_1k; do
+        line=$(cargo run --release --offline -q --manifest-path "$manifest" -- \
+            --workload "$w" --seed 0 --seconds 1 --trace 0 | tail -n 1) || {
+            echo "perfbench: $w exited non-zero" >&2
+            exit 1
+        }
+        echo "$w: $line"
+        case "$line" in
+        *'"correct": true'*) ;;
+        *)
+            echo "perfbench: $w did not report \"correct\": true" >&2
+            exit 1
+            ;;
+        esac
+    done
+}
+
 case "$mode" in
 tier1)
     tier1
@@ -181,6 +213,9 @@ mac)
 batch)
     batch
     ;;
+perfbench)
+    perfbench
+    ;;
 all)
     tier1
     echo "== workspace: cargo test -q --workspace =="
@@ -193,7 +228,7 @@ all)
     batch
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|smoke|bench|obs|stream|net|mac|batch|all]" >&2
+    echo "usage: scripts/check.sh [tier1|smoke|bench|obs|stream|net|mac|batch|perfbench|all]" >&2
     exit 2
     ;;
 esac

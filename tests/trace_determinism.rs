@@ -116,6 +116,39 @@ fn net_trace_and_recorder_are_thread_invariant() {
     }
 }
 
+#[test]
+fn mac_telemetry_and_recorder_are_thread_invariant() {
+    // 3 replications, one per engine pull: at 2 threads one worker runs
+    // two and the other one, so the merge really crosses workers.
+    let mut sc = uwb_mac::MacScenario::ring(4, 9.0, 1.0, SEED ^ 0x3ac);
+    sc.horizon_slots = 250;
+    sc.replications = 3;
+    let reference = uwb_mac::run_mac_plan_threads(uwb_mac::plan_mac(&sc), 1);
+    let telem = &reference.stats.telemetry;
+    for threads in [2, 4] {
+        let got = uwb_mac::run_mac_plan_threads(uwb_mac::plan_mac(&sc), threads);
+        assert_eq!(got.stats.threads, threads.min(3));
+        assert_eq!(
+            got.stats.telemetry.to_json_deterministic(),
+            telem.to_json_deterministic(),
+            "{threads} threads changed the MAC telemetry"
+        );
+        assert_eq!(
+            got.stats.telemetry.trace_fingerprint(),
+            telem.trace_fingerprint(),
+            "{threads} threads changed the MAC span sequence"
+        );
+        assert_eq!(
+            uwb_obs::recorder::render_report(&got.stats.telemetry.worst),
+            uwb_obs::recorder::render_report(&telem.worst),
+            "{threads} threads changed the MAC flight-recorder report"
+        );
+    }
+    if uwb_obs::enabled() {
+        assert!(!telem.is_empty(), "instrumented MAC run recorded nothing");
+    }
+}
+
 /// The ISSUE's acceptance run: a 1,000-user clustered city round whose
 /// exported trace and flight-recorder report are bit-identical for
 /// `UWB_THREADS` ∈ {1, 2, 4, 8}. Minutes of work — run explicitly via
