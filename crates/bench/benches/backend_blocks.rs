@@ -3,8 +3,8 @@
 //! decoding, MLSE, and the Saleh–Valenzuela channel generator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use uwb_dsp::Complex;
-use uwb_phy::chanest::{estimate_cir, ChannelEstimate};
+use uwb_dsp::{Complex, DspScratch};
+use uwb_phy::chanest::{estimate_cir_into, ChannelEstimate};
 use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
 use uwb_phy::{AcquisitionConfig, CoarseAcquisition, ConvCode, Gen2Config, Gen2Transmitter, RakeReceiver};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
@@ -18,7 +18,7 @@ fn bench_acquisition(c: &mut Criterion) {
     let tx = Gen2Transmitter::new(cfg.clone()).unwrap();
     let burst = tx.transmit_packet(&[0u8; 16]).unwrap();
     let engine = CoarseAcquisition::new(
-        tx.preamble_template(),
+        tx.preamble_correlator(),
         AcquisitionConfig::with_clock(cfg.sample_rate.as_hz()),
     );
     let period = cfg.preamble_length() * cfg.samples_per_slot();
@@ -31,17 +31,21 @@ fn bench_chanest(c: &mut Criterion) {
     let cfg = Gen2Config::nominal_100mbps();
     let tx = Gen2Transmitter::new(cfg.clone()).unwrap();
     let burst = tx.transmit_packet(&[0u8; 16]).unwrap();
-    let template = tx.preamble_template();
+    let correlator = tx.preamble_correlator();
     let period = cfg.preamble_length() * cfg.samples_per_slot();
+    let mut scratch = DspScratch::new();
+    let mut est = ChannelEstimate::new(vec![Complex::ZERO]);
     c.bench_function("channel_estimate_64tap_3periods", |b| {
         b.iter(|| {
-            estimate_cir(
+            estimate_cir_into(
                 std::hint::black_box(&burst.samples),
-                &template,
+                &correlator,
                 burst.slot0_center,
                 64,
                 3,
                 period,
+                &mut scratch,
+                &mut est,
             )
         })
     });

@@ -31,7 +31,7 @@ fn main() {
             ..Gen2Config::nominal_100mbps()
         };
         let tx = Gen2Transmitter::new(cfg.clone()).expect("config");
-        let template = tx.preamble_template();
+        let template = tx.preamble_correlator();
         let period = cfg.preamble_length() * cfg.samples_per_slot();
 
         let mut table = Table::new(vec![

@@ -21,7 +21,7 @@ fn main() {
         ..Gen2Config::nominal_100mbps()
     };
     let tx = Gen2Transmitter::new(cfg.clone()).expect("config");
-    let template = tx.preamble_template();
+    let template = tx.preamble_correlator();
     let sps = cfg.samples_per_slot();
     let period = cfg.preamble_length() * sps;
     let fs = cfg.sample_rate.as_hz();

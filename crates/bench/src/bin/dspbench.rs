@@ -42,12 +42,14 @@ use uwb_bench::EXPERIMENT_SEED;
 use uwb_dsp::correlation::{circular_autocorrelation, cross_correlate_fft_into};
 use uwb_dsp::fft::{cached_plan, fft_convolve_real_into, fft_plans_built, Fft};
 use uwb_dsp::{Complex, DspScratch};
-use uwb_phy::{AcquisitionConfig, CoarseAcquisition, Gen2Config};
+use uwb_phy::chanest::estimate_cir_into;
+use uwb_phy::{AcquisitionConfig, ChannelEstimate, CoarseAcquisition, Gen2Config, Gen2Transmitter};
 use uwb_platform::link::{
     BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
 };
 use uwb_platform::ErrorCounter;
 use uwb_sim::montecarlo::resolve_batch;
+use uwb_sim::awgn::add_noise_snr;
 use uwb_sim::Rand;
 
 /// One measured kernel: name + median microseconds per call.
@@ -97,8 +99,8 @@ fn run_kernels() -> Vec<Kernel> {
         });
     }
 
-    // 2b. 4096-point forward f32 SoA FFT (the `fast-acq` acquisition
-    //     correlator shape) through its thread-local plan cache.
+    // 2b. 4096-point forward f32 SoA FFT through its thread-local plan
+    //     cache.
     {
         let plan = uwb_dsp::fft32::cached_plan32(4096);
         let mut rng = Rand::new(21);
@@ -181,23 +183,46 @@ fn run_kernels() -> Vec<Kernel> {
         });
     }
 
-    // 6. Batched coarse acquisition at the stage-sweep shape: the template
-    //    spectrum is warmed once, then 8 records (one batch) are searched
-    //    against it — the per-batch amortization the batched runtime buys
-    //    over 8 independent acquisitions (which would each re-check the
-    //    memo under the bank's lock).
+    // 6. The factored preamble correlator on a real gen2 record (nominal
+    //    config, 2 preamble repeats, 24-byte payload, noise at −3 dB per
+    //    sample): one coarse acquisition over a preamble period plus the
+    //    CIR window, and one 64-lag channel estimate over one period.
     {
-        let tpl = noise_complex(1277, 8);
-        let acq = CoarseAcquisition::new(tpl, AcquisitionConfig::with_clock(2e9));
-        let records: Vec<Vec<Complex>> = (0..8).map(|i| noise_complex(2555, 9 + i)).collect();
+        let cfg = Gen2Config {
+            preamble_repeats: 2,
+            ..Gen2Config::nominal_100mbps()
+        };
+        let tx = Gen2Transmitter::new(cfg.clone()).expect("valid config");
+        let burst = tx.transmit_packet(&[0x5A; 24]).expect("payload fits");
+        let mut rng = Rand::new(8);
+        let record = add_noise_snr(&burst.samples, -3.0, &mut rng).0;
+        let period = cfg.preamble_length() * cfg.samples_per_slot();
+        let acq = CoarseAcquisition::new(
+            tx.preamble_correlator(),
+            AcquisitionConfig::with_clock(cfg.sample_rate.as_hz()),
+        );
         let mut scratch = DspScratch::new();
         out.push(Kernel {
-            name: "batched_acquisition_B8",
-            us_per_call: time_us(10, 15, || {
-                acq.warm(2555, 1277);
-                for rec in &records {
-                    let _ = acq.acquire_with(rec, 1277, &mut scratch);
-                }
+            name: "acquisition_gen2",
+            us_per_call: time_us(50, 15, || {
+                let _ = acq.acquire_with(&record, period + 8, &mut scratch);
+            }),
+        });
+        let start = burst.slot0_center - tx.pulse().len() / 2;
+        let mut est = ChannelEstimate::new(vec![Complex::ZERO]);
+        out.push(Kernel {
+            name: "chanest_gen2_64lag",
+            us_per_call: time_us(200, 15, || {
+                estimate_cir_into(
+                    &record,
+                    acq.correlator(),
+                    start,
+                    64,
+                    1,
+                    period,
+                    &mut scratch,
+                    &mut est,
+                );
             }),
         });
     }

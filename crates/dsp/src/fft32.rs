@@ -1,11 +1,8 @@
-//! Single-precision SoA radix-2 FFT for the acquisition correlator bank.
+//! Single-precision SoA radix-2 FFT.
 //!
-//! The coarse-acquisition sweep is the only FFT consumer on the per-trial
-//! hot path that tolerates reduced precision: its output feeds a
-//! *normalized threshold comparison and an argmax*, both of which are
-//! insensitive to relative errors at the f32 level (~1e-7, versus a
-//! detection threshold margin of order 1e-1). Running that one consumer in
-//! f32 doubles the samples per vector lane and halves memory traffic.
+//! For consumers that tolerate f32 relative error (~1e-7), such as a
+//! normalized threshold comparison followed by an argmax. Running in f32
+//! doubles the samples per vector lane and halves memory traffic.
 //!
 //! Layout is structure-of-arrays: the real and imaginary rails live in two
 //! separate `f32` slices, so every butterfly lowers to pure vector
@@ -18,10 +15,9 @@
 //! the same [`crate::fft::fft_plans_built`] counter the plan-cache
 //! regression tests watch.
 //!
-//! Accuracy versus the f64 path is bounded by max-ulp parity tests in
-//! `uwb-phy` (the consumer), not here — this module only guarantees the
-//! transform identities (round trip, linearity, known spectra) at f32
-//! tolerance.
+//! This module guarantees the transform identities (round trip,
+//! linearity, known spectra) at f32 tolerance; accuracy against the f64
+//! path is the consumer's to bound.
 
 use std::cell::RefCell;
 use std::rc::Rc;

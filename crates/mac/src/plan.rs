@@ -67,6 +67,10 @@ pub struct MacPlan {
     pub airtime_slots: Vec<u64>,
     /// Maximum airtime over all links — the record-retention window.
     pub max_airtime_slots: u64,
+    /// Depth of each link's ring of recent transmissions (its mixing
+    /// sources): a frame is never evicted while a frame of up to
+    /// `max_airtime_slots` may still overlap it. 2 for uniform airtimes.
+    pub tx_ring: usize,
     /// Probe record length per link, in samples.
     pub record_len: Vec<usize>,
     /// Maximum probe record length — pre-sizing bound for record buffers.
@@ -149,6 +153,13 @@ pub fn plan_mac(sc: &MacScenario) -> MacPlan {
         .map(|&len| (len.div_ceil(sc.slot_samples)).max(1) as u64)
         .collect();
     let max_airtime_slots = airtime_slots.iter().copied().max().unwrap_or(1);
+    // A victim decoding at `T` mixes every frame of link `u` that ended
+    // after `T − max_airtime`, i.e. started in `(T − max_airtime − A_u, T]`;
+    // consecutive starts of `u` are at least `A_u + ack_slots` apart.
+    let tx_ring = airtime_slots
+        .iter()
+        .map(|&a| ((max_airtime_slots + a - 1) / (a + sc.ack_slots)) as usize + 1)
+        .fold(2, usize::max);
 
     let sense = sense_sets(&net.coupling, sc.sense_threshold_db);
     let mut out_deg = vec![0u32; n];
@@ -182,6 +193,7 @@ pub fn plan_mac(sc: &MacScenario) -> MacPlan {
         },
         airtime_slots,
         max_airtime_slots,
+        tx_ring,
         record_len,
         max_record_len,
         sense,

@@ -39,10 +39,13 @@
 //! is at least `max_airtime` old can never be mixed again. Transmitters
 //! that nobody couples to (`out_deg == 0`) recycle immediately after
 //! their own decode; everyone else schedules a `Release` event
-//! `max_airtime` slots after frame end. Each link keeps a ring of its 2
-//! most recent transmissions — sufficient because one victim airtime
-//! window can overlap at most 2 consecutive frames of one neighbor (their
-//! ends are at least one airtime apart).
+//! `max_airtime` slots after frame end. Each link keeps a ring of its
+//! [`MacPlan::tx_ring`] most recent transmissions. Consecutive starts of
+//! link `u` are at least `A_u + ack_slots` apart, and a victim can overlap
+//! only frames of `u` started in a window of `max_airtime + A_u` slots, so
+//! the plan sizes the ring to hold every such frame (2 when all airtimes
+//! are equal). `start_tx` checks the bound on every transmission and fails
+//! loudly instead of dropping an overlap.
 //!
 //! ## Zero warm-path allocation
 //!
@@ -174,8 +177,6 @@ struct TxRef {
     valid: bool,
 }
 
-const RECENT: usize = 2;
-
 /// Per-link mutable MAC state.
 #[derive(Debug)]
 struct LinkState {
@@ -198,8 +199,8 @@ struct LinkState {
     /// Record-pool slot and start of the in-flight data frame.
     cur_slot: u32,
     cur_start: u64,
-    /// Ring of the 2 most recent transmissions (mixing sources).
-    recent: [TxRef; RECENT],
+    /// Ring of the `tx_ring` most recent transmissions (mixing sources).
+    recent: Vec<TxRef>,
     recent_next: usize,
     /// Per-trial frame counter — the waveform-stream uid.
     tx_uid: u64,
@@ -212,7 +213,7 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(queue_cap: usize, traffic: TrafficModel, rate_pps: f64) -> LinkState {
+    fn new(queue_cap: usize, traffic: TrafficModel, rate_pps: f64, tx_ring: usize) -> LinkState {
         LinkState {
             q: vec![Packet::default(); queue_cap],
             head: 0,
@@ -225,7 +226,7 @@ impl LinkState {
             busy_until: 0,
             cur_slot: 0,
             cur_start: 0,
-            recent: [TxRef::default(); RECENT],
+            recent: vec![TxRef::default(); tx_ring],
             recent_next: 0,
             tx_uid: 0,
             wave_seed: 0,
@@ -245,7 +246,7 @@ impl LinkState {
         self.busy_until = 0;
         self.cur_slot = 0;
         self.cur_start = 0;
-        self.recent = [TxRef::default(); RECENT];
+        self.recent.fill(TxRef::default());
         self.recent_next = 0;
         self.tx_uid = 0;
         self.wave_seed = uwb_net::link_seed(trial_seed, l);
@@ -349,7 +350,9 @@ impl MacWorker {
         let sample_cap = plan.max_record_len + plan.net.block_len;
         let prealloc = if n <= 64 { 2 * n } else { 0 };
         let links = (0..n)
-            .map(|l| LinkState::new(plan.params.queue_cap, plan.params.traffic, plan.rate_pps[l]))
+            .map(|l| {
+                LinkState::new(plan.params.queue_cap, plan.params.traffic, plan.rate_pps[l], plan.tx_ring)
+            })
             .collect();
         MacWorker {
             pool: WorkerPool::new(&plan.net),
@@ -474,13 +477,23 @@ impl MacWorker {
         st.busy_until = now + airtime;
         st.cur_slot = slot;
         st.cur_start = now;
+        let evicted = st.recent[st.recent_next];
+        assert!(
+            !(evicted.valid && evicted.end + plan.max_airtime_slots > now),
+            "MAC interference ring overflow: link {l} starting at slot {now} evicts its \
+             transmission ending at slot {}, which a frame of up to {} slots may still overlap \
+             (ring of {})",
+            evicted.end,
+            plan.max_airtime_slots,
+            st.recent.len(),
+        );
         st.recent[st.recent_next] = TxRef {
             start: now,
             end: now + airtime,
             slot,
             valid: true,
         };
-        st.recent_next = (st.recent_next + 1) % RECENT;
+        st.recent_next = (st.recent_next + 1) % st.recent.len();
 
         let stats = &mut acc.links[l];
         stats.tx_frames += 1;
@@ -515,9 +528,9 @@ impl MacWorker {
             let slot_samples = plan.params.slot_samples as i64;
             for &(u, gain) in &plan.net.coupling[l] {
                 let nb = &self.links[u];
-                let oldest = nb.recent_next; // ring of 2: next slot = oldest
-                for k in 0..RECENT {
-                    let r = nb.recent[(oldest + k) % RECENT];
+                let (oldest, ring) = (nb.recent_next, nb.recent.len()); // next slot = oldest
+                for k in 0..ring {
+                    let r = nb.recent[(oldest + k) % ring];
                     if r.valid && r.start < now && r.end > s_v {
                         let off = (r.start as i64 - s_v as i64) * slot_samples;
                         accumulate_scaled_offset(

@@ -2,7 +2,9 @@
 //! plateau, forced-collision ARQ recovery, conservation, and thread-count
 //! determinism.
 
-use uwb_mac::{plan_mac, run_mac, run_mac_plan_threads, MacReport, MacScenario};
+use uwb_mac::{
+    plan_mac, run_mac, run_mac_plan_threads, MacAccumulator, MacReport, MacScenario, MacWorker,
+};
 use uwb_net::ChannelPolicy;
 use uwb_phy::bandplan::Channel;
 
@@ -39,6 +41,49 @@ fn co_channel_pair(ebn0_db: f64, load: f64, seed: u64) -> MacScenario {
     let mut sc = MacScenario::ring(2, ebn0_db, load, seed);
     sc.net.policy = ChannelPolicy::Static(vec![Channel::new(3).unwrap()]);
     sc
+}
+
+/// Heterogeneous airtimes: an 8-link clustered city on one shared channel
+/// with per-link adaptation, which gives the links different FEC and
+/// spreading (18-, 30- and 103-slot frames), and a 1-slot ACK. A short-frame
+/// neighbour fits several frames into one long victim frame.
+fn heterogeneous_airtimes() -> MacScenario {
+    let mut sc = MacScenario::clustered_city(2, 4, 12.0, 1.0, 5);
+    sc.net.adapt = true;
+    sc.net.policy = ChannelPolicy::Static(vec![Channel::new(1).unwrap()]);
+    sc.ack_slots = 1;
+    sc.ack_timeout_slots = 2;
+    sc.replications = 2;
+    sc
+}
+
+#[test]
+fn heterogeneous_airtimes_size_the_interference_ring() {
+    let plan = plan_mac(&heterogeneous_airtimes());
+    let mut airtimes = plan.airtime_slots.clone();
+    airtimes.sort_unstable();
+    airtimes.dedup();
+    assert!(airtimes.len() >= 3, "airtimes {airtimes:?} are not heterogeneous");
+    assert!(plan.tx_ring > 2, "ring of {} for airtimes {airtimes:?}", plan.tx_ring);
+    // Every transmission passes the ring check, and conservation holds.
+    let r = run_mac_plan_threads(plan, 2);
+    assert!(r.offered_total > 0);
+    assert_eq!(r.offered_total, r.delivered_total + r.dropped_total);
+}
+
+#[test]
+#[should_panic(expected = "MAC interference ring overflow")]
+fn a_two_deep_ring_fails_loudly_on_heterogeneous_airtimes() {
+    let mut plan = plan_mac(&heterogeneous_airtimes());
+    plan.tx_ring = 2;
+    let mut acc = MacAccumulator::default();
+    MacWorker::new(&plan).trial(&plan, 0, &mut acc);
+}
+
+#[test]
+fn uniform_airtimes_keep_the_two_deep_ring() {
+    assert_eq!(plan_mac(&MacScenario::ring(8, 9.0, 1.0, 77)).tx_ring, 2);
+    assert_eq!(plan_mac(&MacScenario::clustered_city(4, 8, 9.0, 1.0, 3)).tx_ring, 2);
 }
 
 #[test]

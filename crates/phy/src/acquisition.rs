@@ -7,7 +7,7 @@
 //! achieved "packet synchronization in less than 70 µs" this way; the gen2
 //! system targets a ~20 µs preamble.
 
-use crate::correlator::{CorrelatorBank, CorrelatorStats};
+use crate::correlator::{CorrelatorBank, CorrelatorStats, PreambleCorrelator};
 use uwb_dsp::{Complex, DspScratch};
 
 /// Acquisition tuning parameters.
@@ -58,13 +58,15 @@ pub struct CoarseAcquisition {
 }
 
 impl CoarseAcquisition {
-    /// Creates an engine for the given preamble-period template.
+    /// Creates an engine for the given real preamble-period template
+    /// (dense, or a factored [`PreambleCorrelator`]).
     ///
     /// # Panics
     ///
-    /// Panics if the template is empty, `parallelism == 0`, or the threshold
+    /// Panics if a dense template is empty or complex, `parallelism == 0`,
+    /// or the threshold
     /// is outside `(0, 1)`.
-    pub fn new(template: Vec<Complex>, config: AcquisitionConfig) -> Self {
+    pub fn new(template: impl Into<PreambleCorrelator>, config: AcquisitionConfig) -> Self {
         assert!(
             config.threshold > 0.0 && config.threshold < 1.0,
             "threshold must be in (0, 1)"
@@ -80,6 +82,11 @@ impl CoarseAcquisition {
         &self.config
     }
 
+    /// The correlator the search runs.
+    pub fn correlator(&self) -> &PreambleCorrelator {
+        self.bank.correlator()
+    }
+
     /// Searches `signal` for the preamble over `search_len` candidate phases
     /// (typically one preamble period, since the preamble repeats).
     ///
@@ -88,18 +95,6 @@ impl CoarseAcquisition {
     pub fn acquire(&self, signal: &[Complex], search_len: usize) -> AcquisitionResult {
         let mut scratch = DspScratch::new();
         self.acquire_with(signal, search_len, &mut scratch)
-    }
-
-    /// Pre-builds the correlator bank's memoized template spectrum for a
-    /// search over `signal_len` samples and `search_len` candidate phases —
-    /// the lookup [`CoarseAcquisition::acquire_with`] would otherwise
-    /// perform lazily. Called once per batch by the batched stage-sweep
-    /// runtime; identical results either way.
-    pub fn warm(&self, signal_len: usize, search_len: usize) {
-        let m = self.bank.template_len();
-        let max_phase = signal_len.saturating_sub(m);
-        let n_phases = search_len.min(max_phase + 1);
-        self.bank.warm_prefix(signal_len, n_phases);
     }
 
     /// [`CoarseAcquisition::acquire`] drawing all work buffers from the
@@ -111,25 +106,37 @@ impl CoarseAcquisition {
         search_len: usize,
         scratch: &mut DspScratch,
     ) -> AcquisitionResult {
-        let m = self.bank.template_len();
+        let correlator = self.bank.correlator();
+        let m = correlator.template().len();
         let max_phase = signal.len().saturating_sub(m);
         let n_phases = search_len.min(max_phase + 1);
-        let mut outputs = scratch.take_complex(0);
-        let stats = self
-            .bank
-            .run_prefix_into(signal, n_phases, scratch, &mut outputs);
+        let mut outputs = scratch.take_complex(n_phases);
+        let lags = correlator.correlate_into(signal, &mut outputs, scratch);
+        uwb_obs::counter!("acq_lags").add(lags as u64);
+        uwb_obs::counter!("acq_chip_adds").add(correlator.chip_adds(lags));
+        let stats = self.bank.stats(n_phases);
+        let (offset, metric) = self.peak(signal, &outputs);
+        scratch.put_complex(outputs);
+        AcquisitionResult {
+            detected: metric >= self.config.threshold,
+            offset,
+            metric,
+            stats,
+            search_time_us: CorrelatorBank::search_time_us(&stats, self.config.clock_hz),
+        }
+    }
 
-        // Normalize each output by window and template energy.
-        let tpl_energy: f64 = self
-            .bank
-            .template()
-            .iter()
-            .map(|z| z.norm_sqr())
-            .sum();
-        // Scan in squared-metric space: one divide per phase and no sqrt
-        // (squaring is monotone on nonnegative reals, so the argmax is the
-        // one the per-phase-sqrt form picks); take the two square roots once
-        // at the winning phase.
+    /// The phase with the largest normalized metric `|corr|² / (window
+    /// energy · template energy)` over the correlator `outputs` of
+    /// `signal`, and the square root of that metric.
+    ///
+    /// Scans in squared-metric space: one divide per phase and no sqrt
+    /// (squaring is monotone on nonnegative reals, so the argmax is the one
+    /// the per-phase-sqrt form picks); the square root is taken once at the
+    /// winning phase.
+    pub(crate) fn peak(&self, signal: &[Complex], outputs: &[Complex]) -> (usize, f64) {
+        let m = self.bank.template_len();
+        let tpl_energy = self.bank.correlator().energy();
         let mut best_idx = 0usize;
         let mut best_metric_sq = 0.0f64;
         let mut win_energy: f64 = signal
@@ -153,17 +160,8 @@ impl CoarseAcquisition {
                 win_energy = win_energy.max(0.0);
             }
         }
-        scratch.put_complex(outputs);
-        let best_metric = best_metric_sq.sqrt();
-        AcquisitionResult {
-            detected: best_metric >= self.config.threshold,
-            offset: best_idx,
-            metric: best_metric,
-            stats,
-            search_time_us: CorrelatorBank::search_time_us(&stats, self.config.clock_hz),
-        }
+        (best_idx, best_metric_sq.sqrt())
     }
-
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! result is quantized to the configured precision before the RAKE/MLSE use
 //! it — reproducing the hardware's fixed-point datapath.
 
-use uwb_dsp::Complex;
+use crate::correlator::PreambleCorrelator;
+use uwb_dsp::{Complex, DspScratch};
 
 /// An estimated channel impulse response at sample resolution.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,16 +145,17 @@ impl ChannelEstimate {
     }
 }
 
-/// Estimates the CIR by correlating the known one-period preamble
+/// Estimates the CIR by correlating the known one-period real preamble
 /// `template` against `signal` at delays `0..window` relative to `start`,
 /// averaging over `periods` repeats spaced `period_len` samples apart.
 ///
-/// The template must have unit energy per period for calibrated tap gains
-/// (the estimator normalizes by the template energy it measures).
+/// The estimator normalizes by the template energy it measures, so tap
+/// gains are calibrated for any template scale.
 ///
 /// # Panics
 ///
-/// Panics if `window == 0`, `periods == 0`, or the template is empty.
+/// Panics if `window == 0`, `periods == 0`, or the template is empty or
+/// complex.
 pub fn estimate_cir(
     signal: &[Complex],
     template: &[Complex],
@@ -165,79 +167,109 @@ pub fn estimate_cir(
     let mut est = ChannelEstimate {
         taps: vec![Complex::ZERO; window.max(1)],
     };
-    estimate_cir_into(signal, template, start, window, periods, period_len, &mut est);
+    let correlator = PreambleCorrelator::from(template.to_vec());
+    let mut scratch = DspScratch::new();
+    estimate_cir_into(signal, &correlator, start, window, periods, period_len, &mut scratch, &mut est);
     est
 }
 
-/// [`estimate_cir`] writing into a caller-owned [`ChannelEstimate`]
-/// (allocation-free once the tap buffer capacity suffices) — the per-trial
-/// form used by the Gen2 receiver.
-///
-/// A real-valued template (every `im == 0`, as the pulse-shaped preamble
-/// template always is) takes a two-multiply inner loop instead of the
-/// four-multiply complex one; the only representational difference is the
-/// sign of exact zeros, so results are numerically identical.
+/// [`estimate_cir`] through a (factored) preamble correlator, writing into
+/// a caller-owned [`ChannelEstimate`] with work buffers from `scratch` —
+/// allocation-free once capacities suffice; the per-trial form used by the
+/// Gen2 receiver. Each period whose `window` delays all fit in `signal`
+/// contributes one [`PreambleCorrelator::correlate_into`] sweep.
 ///
 /// # Panics
 ///
-/// Panics if `window == 0`, `periods == 0`, or the template is empty.
+/// Panics if `window == 0` or `periods == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_cir_into(
     signal: &[Complex],
-    template: &[Complex],
+    correlator: &PreambleCorrelator,
     start: usize,
     window: usize,
     periods: usize,
     period_len: usize,
+    scratch: &mut DspScratch,
     est: &mut ChannelEstimate,
 ) {
     assert!(window > 0, "window must be positive");
     assert!(periods > 0, "need at least one period");
-    assert!(!template.is_empty(), "template must be non-empty");
-    let tpl_energy: f64 = template.iter().map(|z| z.norm_sqr()).sum();
-    let real_template = template.iter().all(|t| t.im == 0.0);
     let taps = &mut est.taps;
     taps.clear();
     taps.resize(window, Complex::ZERO);
+    let mut per_period = scratch.take_complex(window);
     let mut used_periods = 0usize;
     for p in 0..periods {
         let base = start + p * period_len;
-        if base + template.len() + window > signal.len() + 1 {
+        if base + correlator.template().len() + window > signal.len() + 1 {
             break;
         }
         used_periods += 1;
-        // The break above guarantees base + d + j <= base + (window-1) +
-        // (len-1) <= signal.len() - 1 for every delay/sample pair, so each
-        // delay's window is a plain in-bounds slice — no per-sample bounds
-        // test in the inner loop.
-        for (d, tap) in taps.iter_mut().enumerate() {
-            let win = &signal[base + d..base + d + template.len()];
-            let acc = if real_template {
-                // s · conj(t) with t purely real: 2 real MACs per sample,
-                // lane-split so the reduction autovectorizes.
-                uwb_dsp::simd::dot_real_template(win, template)
-            } else {
-                let mut acc = Complex::ZERO;
-                for (&s, &t) in win.iter().zip(template) {
-                    acc += s * t.conj();
-                }
-                acc
-            };
-            *tap += acc;
+        correlator.correlate_into(&signal[base..], &mut per_period, scratch);
+        for (tap, &z) in taps.iter_mut().zip(per_period.iter()) {
+            *tap += z;
         }
     }
-    let scale = 1.0 / (used_periods.max(1) as f64 * tpl_energy);
+    scratch.put_complex(per_period);
+    let lags = used_periods * window;
+    uwb_obs::counter!("chanest_lags").add(lags as u64);
+    uwb_obs::counter!("chanest_chip_adds").add(correlator.chip_adds(lags));
+    let scale = 1.0 / (used_periods.max(1) as f64 * correlator.energy());
     for tap in taps.iter_mut() {
         *tap = *tap * scale;
+    }
+    // The quantizer's step is set by the largest tap component. Re-evaluate
+    // every tap that could hold it in direct form, so that step — and with
+    // it every quantized value and finger energy — is the direct-form
+    // estimator's to the bit (see DESIGN.md, "Preamble correlator").
+    let peak = taps.iter().fold(0.0f64, |m, z| m.max(z.re.abs()).max(z.im.abs()));
+    for (d, tap) in taps.iter_mut().enumerate() {
+        if tap.re.abs().max(tap.im.abs()) >= peak * (1.0 - 1e-9) {
+            let mut acc = Complex::ZERO;
+            for p in 0..used_periods {
+                let base = start + p * period_len + d;
+                acc += uwb_dsp::simd::dot_real_template(&signal[base..], correlator.template());
+            }
+            *tap = acc * scale;
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use uwb_dsp::fft::fft_convolve;
     use uwb_sim::awgn::add_awgn_complex;
     use uwb_sim::Rand;
+
+    /// The dense dot-product estimator [`estimate_cir_into`] replaced, kept
+    /// as its test oracle with the same arithmetic: one template-length
+    /// inner product per delay and period, for a real template (every `im`
+    /// zero, as the preamble's is).
+    pub(crate) fn estimate_cir_direct(
+        signal: &[Complex],
+        template: &[Complex],
+        start: usize,
+        window: usize,
+        periods: usize,
+        period_len: usize,
+    ) -> ChannelEstimate {
+        let mut taps = vec![Complex::ZERO; window];
+        let mut used = 0usize;
+        for p in 0..periods {
+            let base = start + p * period_len;
+            if base + template.len() + window > signal.len() + 1 {
+                break;
+            }
+            used += 1;
+            for (d, tap) in taps.iter_mut().enumerate() {
+                *tap += uwb_dsp::simd::dot_real_template(&signal[base + d..], template);
+            }
+        }
+        let scale = 1.0 / (used.max(1) as f64 * template.iter().map(|z| z.norm_sqr()).sum::<f64>());
+        ChannelEstimate::new(taps.into_iter().map(|t| t * scale).collect())
+    }
 
     fn chip_template() -> Vec<Complex> {
         let chips = crate::pn::msequence_chips(7);
@@ -291,6 +323,35 @@ mod tests {
             est8.nmse(&ref_est),
             est1.nmse(&ref_est)
         );
+    }
+
+    /// The factored estimator against the dense dot-product oracle on
+    /// gen2-shaped preambles: random ±1 chips, the gen2 pulse and slot
+    /// spacing, noisy records, 1–3 periods and varying windows.
+    #[test]
+    fn factored_estimate_matches_dot_product_oracle() {
+        let tx = crate::Gen2Transmitter::new(crate::Gen2Config::nominal_100mbps()).unwrap();
+        let sps = tx.config().samples_per_slot();
+        let mut rng = Rand::new(7);
+        let mut scratch = DspScratch::new();
+        let mut est = ChannelEstimate::new(vec![Complex::ZERO]);
+        for case in 0..24 {
+            let n_chips = 2 + rng.below(130);
+            let chips: Vec<f64> = (0..n_chips).map(|_| if rng.bit() { 1.0 } else { -1.0 }).collect();
+            let corr = PreambleCorrelator::spread(&chips, sps, tx.pulse());
+            let period = n_chips * sps;
+            let (window, periods) = (1 + rng.below(80), 1 + rng.below(3));
+            let sig: Vec<Complex> = (0..3 * period + corr.template().len() + 100)
+                .map(|_| Complex::new(rng.gaussian(), rng.gaussian()))
+                .collect();
+            let start = rng.below(100);
+            estimate_cir_into(&sig, &corr, start, window, periods, period, &mut scratch, &mut est);
+            let want = estimate_cir_direct(&sig, corr.template(), start, window, periods, period);
+            let scale = want.taps().iter().map(|z| z.norm()).fold(f64::MIN_POSITIVE, f64::max);
+            for (d, (a, b)) in est.taps().iter().zip(want.taps()).enumerate() {
+                assert!((*a - *b).norm() <= 1e-12 * scale, "case {case} delay {d}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -6,30 +6,228 @@
 //! clock; this model computes the same outputs and *accounts for the clock
 //! cycles and multiply-accumulate operations* so acquisition-time and power
 //! numbers can be derived from it.
+//!
+//! ## Factored preamble correlation
+//!
+//! The preamble template is `t[j] = Σ_k c_k·p[j − k·S]`: chips `c_k = ±1`
+//! spaced `S` samples apart, each carrying a short real pulse `p`. Its
+//! correlation at lag `l` factors as
+//!
+//! ```text
+//! Σ_j s[l+j]·t[j] = Σ_k c_k · y[l + k·S],   y[n] = Σ_i s[n+i]·p[i]
+//! ```
+//!
+//! so [`PreambleCorrelator`] filters the record once with the pulse and then
+//! forms chip-spaced sums and differences of `y`, with no transform and no
+//! multiplies in the second stage. Adjacent chips are paired,
+//! `c_k·y_k + c_{k+1}·y_{k+1} = c_k·(y_k ± y_{k+1})`, so one pass building
+//! pair-sum and pair-difference rails of `y` halves the per-lag adds. Every
+//! stage runs over the record as interleaved re/im `f64` rails in register
+//! blocks of 32 complex lags. An arbitrary real template is the
+//! degenerate case of one `+1` chip whose pulse is the whole template.
 
-use std::cell::RefCell;
+use std::sync::OnceLock;
 
-use uwb_dsp::fft::cached_plan;
-use uwb_dsp::fft32::cached_plan32;
-use uwb_dsp::math::next_pow2;
 use uwb_dsp::{Complex, DspScratch};
 
-/// Forward FFT of the zero-padded, conjugated, time-reversed template,
-/// memoized per FFT size so repeated acquisition sweeps pay for the template
-/// transform once instead of every call.
+/// `f64` outputs per register block: 32 complex lags as interleaved re/im,
+/// which stay in the vector register file of AVX2/AVX-512 targets while a
+/// block sweeps its pulse taps or chip terms.
+const BLOCK: usize = 64;
+
+/// A real correlation template kept in factored form, `Σ_k c_k·p(t − k·S)`
+/// (see the module docs).
 #[derive(Debug, Clone)]
-struct TplSpectrum {
-    n: usize,
-    spec: Vec<Complex>,
+pub struct PreambleCorrelator {
+    /// The dense template (the direct-form oracle and the energy source).
+    template: Vec<Complex>,
+    /// `Σ |t[j]|²`, summed in template order on first use.
+    energy: OnceLock<f64>,
+    pulse: Vec<f64>,
+    /// Chip-stage terms `(rail, offset)`, the first `n_pos` added and the
+    /// rest subtracted. Rail 0 is `y`, rail 1 the pair sum
+    /// `y[j] + y[j + stride]`, rail 2 the pair difference; offsets are in
+    /// interleaved `f64` units.
+    terms: Vec<(usize, usize)>,
+    n_pos: usize,
+    /// Chip spacing in interleaved `f64` units, `2·S`.
+    stride: usize,
+    /// Offset of the last chip, `2·(K−1)·S`.
+    span: usize,
 }
 
-/// Single-precision sibling of [`TplSpectrum`] for the `fast-acq` path:
-/// the same matched-template spectrum in split f32 lanes.
-#[derive(Debug, Clone)]
-struct TplSpectrum32 {
-    n: usize,
-    re: Vec<f32>,
-    im: Vec<f32>,
+impl PreambleCorrelator {
+    /// The correlator for `chips` (each `±1`) carrying `pulse`, spaced
+    /// `spacing` samples apart: chip `k`'s pulse occupies
+    /// `[k·spacing, k·spacing + pulse.len())` of the dense template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chips` or `pulse` is empty, `spacing == 0`, or a chip is
+    /// not `±1`.
+    pub fn spread(chips: &[f64], spacing: usize, pulse: &[f64]) -> Self {
+        assert!(!chips.is_empty() && !pulse.is_empty(), "correlator template must be non-empty");
+        assert!(spacing > 0, "chip spacing must be positive");
+        assert!(chips.iter().all(|&c| c == 1.0 || c == -1.0), "chips must be ±1");
+        let mut template = vec![Complex::ZERO; (chips.len() - 1) * spacing + pulse.len()];
+        for (k, &c) in chips.iter().enumerate() {
+            for (j, &p) in pulse.iter().enumerate() {
+                template[k * spacing + j].re += c * p;
+            }
+        }
+        let stride = 2 * spacing;
+        // Chip pairs (and an odd last chip) as (rail, offset) terms, the
+        // `+` terms first.
+        let term = |(q, pair): (usize, &[f64])| {
+            let rail = match pair {
+                [a, b] if a == b => 1,
+                [_, _] => 2,
+                _ => 0,
+            };
+            (rail, 2 * q * stride)
+        };
+        let mut terms = Vec::with_capacity(chips.len().div_ceil(2));
+        terms.extend(chips.chunks(2).enumerate().filter(|(_, p)| p[0] > 0.0).map(term));
+        let n_pos = terms.len();
+        terms.extend(chips.chunks(2).enumerate().filter(|(_, p)| p[0] < 0.0).map(term));
+        PreambleCorrelator {
+            template,
+            energy: OnceLock::new(),
+            pulse: pulse.to_vec(),
+            terms,
+            n_pos,
+            stride,
+            span: (chips.len() - 1) * stride,
+        }
+    }
+
+    /// The dense template, sample by sample.
+    pub fn template(&self) -> &[Complex] {
+        &self.template
+    }
+
+    /// The template energy `Σ |t[j]|²`.
+    pub fn energy(&self) -> f64 {
+        *self
+            .energy
+            .get_or_init(|| self.template.iter().map(|z| z.norm_sqr()).sum())
+    }
+
+    /// Block-padded `y` rail length of a `lags`-lag sweep: the chip stage
+    /// reads `y` up to the last chip's offset past its (padded) outputs.
+    fn y_len(&self, lags: usize) -> usize {
+        ((2 * lags).next_multiple_of(BLOCK) + self.span).next_multiple_of(BLOCK)
+    }
+
+    /// Real additions the chip stage spends on a `lags`-lag sweep: the
+    /// pair rails (two or more chips), then one add per term per rail per
+    /// lag — the deterministic work counter of the second stage.
+    pub(crate) fn chip_adds(&self, lags: usize) -> u64 {
+        if lags == 0 {
+            return 0;
+        }
+        let rails = if self.span > 0 { 2 * (self.y_len(lags) - self.stride) } else { 0 };
+        (rails + 2 * lags * self.terms.len()) as u64
+    }
+
+    /// Writes `out[l] = Σ_j signal[l+j]·t[j]` for every lag `l < out.len()`;
+    /// lags whose window runs past the end of `signal` are zero. Work
+    /// buffers come from `scratch`. Returns the number of lags evaluated
+    /// (the in-range ones).
+    ///
+    /// Agrees with the direct form ([`CorrelatorBank::run`]) to rounding:
+    /// the same terms, summed pulse tap by tap, then chip pair by chip pair.
+    pub fn correlate_into(&self, signal: &[Complex], out: &mut [Complex], scratch: &mut DspScratch) -> usize {
+        let m = self.template.len();
+        let lags = out.len().min((signal.len() + 1).saturating_sub(m));
+        out[lags..].fill(Complex::ZERO);
+        if lags == 0 {
+            return 0;
+        }
+        // Rails of one length — padded to whole blocks plus the pulse
+        // filter's reach — laid out [y | pair sum | pair difference]. The
+        // zero padding only feeds outputs that are discarded. Each rail
+        // starts on a 64-byte boundary, so the chip stage's vector loads
+        // never split a cache line (measured ~1.5× on that stage).
+        let y_len = self.y_len(lags);
+        let reach = 2 * (self.pulse.len() - 1);
+        let rail_len = (y_len + reach).next_multiple_of(8);
+        let n_rails = if self.span > 0 { 3 } else { 1 };
+        let mut buf = scratch.take_real(n_rails * rail_len + 7);
+        let skew = buf.as_ptr().align_offset(64).min(7);
+        let rails = &mut buf[skew..skew + n_rails * rail_len];
+        for (x, z) in rails.chunks_exact_mut(2).zip(&signal[..lags + m - 1]) {
+            x[0] = z.re;
+            x[1] = z.im;
+        }
+        // Stage 1: y = s ⋆ p, in place over rail 0. Block `base` reads
+        // `x[base..base + reach + BLOCK]` and only then writes
+        // `[base, base + BLOCK)`, so later blocks never read an output.
+        for base in (0..y_len).step_by(BLOCK) {
+            let w = &rails[base..][..reach + BLOCK];
+            let mut acc = [0.0f64; BLOCK];
+            for (i, &p) in self.pulse.iter().enumerate() {
+                // `2·i ≤ reach`; the `min` only drops the bounds check.
+                let o = (2 * i).min(reach);
+                for (a, &v) in acc.iter_mut().zip(&w[o..o + BLOCK]) {
+                    *a += p * v;
+                }
+            }
+            rails[base..base + BLOCK].copy_from_slice(&acc);
+        }
+        // Stage 2a: pair rails. A pair term's offset is at most
+        // `span − stride`, so it reads them below `y_len − stride`.
+        if self.span > 0 {
+            let (y, pairs) = rails.split_at_mut(rail_len);
+            let (sum, diff) = pairs.split_at_mut(rail_len);
+            let n = y_len - self.stride;
+            for (j, (s, d)) in sum[..n].iter_mut().zip(&mut diff[..n]).enumerate() {
+                let (a, b) = (y[j], y[j + self.stride]);
+                *s = a + b;
+                *d = a - b;
+            }
+        }
+        // Stage 2b: chip-pair sums, one register block of lags at a time.
+        // Every term offset is at most `last`; the `min` only drops the
+        // per-term bounds check.
+        let last = (n_rails - 1) * rail_len + self.span;
+        let (pos, neg) = self.terms.split_at(self.n_pos);
+        for (c, block) in out[..lags].chunks_mut(BLOCK / 2).enumerate() {
+            let w = &rails[c * BLOCK..][..last + BLOCK];
+            let mut acc = [0.0f64; BLOCK];
+            for &(r, o) in pos {
+                let o = (r * rail_len + o).min(last);
+                for (a, &v) in acc.iter_mut().zip(&w[o..o + BLOCK]) {
+                    *a += v;
+                }
+            }
+            for &(r, o) in neg {
+                let o = (r * rail_len + o).min(last);
+                for (a, &v) in acc.iter_mut().zip(&w[o..o + BLOCK]) {
+                    *a -= v;
+                }
+            }
+            for (z, a) in block.iter_mut().zip(acc.chunks_exact(2)) {
+                *z = Complex::new(a[0], a[1]);
+            }
+        }
+        scratch.put_real(buf);
+        lags
+    }
+}
+
+impl From<Vec<Complex>> for PreambleCorrelator {
+    /// The degenerate factoring of a dense real template: one `+1` chip
+    /// whose pulse is the whole template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the template is empty or has a non-zero imaginary part.
+    fn from(template: Vec<Complex>) -> Self {
+        assert!(template.iter().all(|z| z.im == 0.0), "correlator template must be real");
+        let pulse: Vec<f64> = template.iter().map(|z| z.re).collect();
+        PreambleCorrelator::spread(&[1.0], 1, &pulse)
+    }
 }
 
 /// Operation accounting for a correlator-bank run.
@@ -45,45 +243,42 @@ pub struct CorrelatorStats {
 }
 
 /// A bank of `parallelism` correlators sharing one template.
-///
-/// The bank memoizes the FFT of its matched template per transform size (a
-/// `RefCell`, so the bank is `!Sync`; the Monte-Carlo engine builds one bank
-/// per worker thread, which is the intended sharing model).
 #[derive(Debug, Clone)]
 pub struct CorrelatorBank {
-    template: Vec<Complex>,
+    correlator: PreambleCorrelator,
     parallelism: usize,
-    /// Lazily built matched-template spectrum (see [`TplSpectrum`]).
-    tpl_spectrum: RefCell<Option<TplSpectrum>>,
-    /// f32 twin of `tpl_spectrum`, used by the `fast-acq` path.
-    tpl_spectrum32: RefCell<Option<TplSpectrum32>>,
 }
 
 impl CorrelatorBank {
-    /// Creates a bank with the given template and hardware parallelism.
+    /// Creates a bank with the given real template (dense, or a factored
+    /// [`PreambleCorrelator`]) and hardware parallelism.
     ///
     /// # Panics
     ///
-    /// Panics if the template is empty or `parallelism == 0`.
-    pub fn new(template: Vec<Complex>, parallelism: usize) -> Self {
-        assert!(!template.is_empty(), "correlator template must be non-empty");
+    /// Panics if a dense template is empty or complex, or if
+    /// `parallelism == 0`.
+    pub fn new(template: impl Into<PreambleCorrelator>, parallelism: usize) -> Self {
+        let correlator = template.into();
         assert!(parallelism > 0, "parallelism must be at least 1");
         CorrelatorBank {
-            template,
+            correlator,
             parallelism,
-            tpl_spectrum: RefCell::new(None),
-            tpl_spectrum32: RefCell::new(None),
         }
     }
 
     /// The template length in samples.
     pub fn template_len(&self) -> usize {
-        self.template.len()
+        self.correlator.template().len()
     }
 
     /// The correlation template.
     pub fn template(&self) -> &[Complex] {
-        &self.template
+        self.correlator.template()
+    }
+
+    /// The factored correlator the bank evaluates.
+    pub fn correlator(&self) -> &PreambleCorrelator {
+        &self.correlator
     }
 
     /// The number of parallel correlators.
@@ -92,12 +287,13 @@ impl CorrelatorBank {
     }
 
     /// Correlates `signal` against the template at every phase in
-    /// `phases` (sample offsets into `signal`). Offsets whose window would
-    /// run past the end yield zero.
+    /// `phases` (sample offsets into `signal`) in direct form. Offsets
+    /// whose window would run past the end yield zero.
     ///
     /// Returns per-phase complex outputs plus the hardware cost.
     pub fn run(&self, signal: &[Complex], phases: &[usize]) -> (Vec<Complex>, CorrelatorStats) {
-        let m = self.template.len();
+        let template = self.template();
+        let m = template.len();
         let mut out = Vec::with_capacity(phases.len());
         for &p in phases {
             if p + m > signal.len() {
@@ -105,249 +301,39 @@ impl CorrelatorBank {
                 continue;
             }
             let mut acc = Complex::ZERO;
-            for (j, &t) in self.template.iter().enumerate() {
+            for (j, &t) in template.iter().enumerate() {
                 acc += signal[p + j] * t.conj();
             }
             out.push(acc);
         }
-        let dwells = phases.len().div_ceil(self.parallelism);
-        let stats = CorrelatorStats {
-            phases_evaluated: phases.len(),
-            clock_cycles: dwells as u64 * m as u64,
-            // Complex × conj(complex) = 4 real MACs per sample.
-            mac_ops: phases.len() as u64 * m as u64 * 4,
-        };
-        (out, stats)
+        (out, self.stats(phases.len()))
     }
 
     /// Correlates the contiguous phase range `0..n_phases`, the access
-    /// pattern of a serial acquisition sweep.
+    /// pattern of a serial acquisition sweep, through the factored
+    /// correlator ([`PreambleCorrelator::correlate_into`]).
     ///
-    /// Outputs and hardware accounting are the same as
-    /// [`CorrelatorBank::run`] over `(0..n_phases).collect()` — the stats
-    /// model the *hardware* correlator bank (dwells, clocks, MACs), which is
-    /// independent of how this software model evaluates the outputs. For
-    /// large sweeps the contiguous structure lets the model use one FFT
-    /// cross-correlation (`O(N log N)`) instead of `O(phases × m)` direct
-    /// MACs; results agree with the direct form up to floating-point
-    /// rounding.
+    /// The hardware accounting is that of [`CorrelatorBank::run`] over
+    /// `(0..n_phases).collect()`: the stats model the *hardware* correlator
+    /// bank (dwells, clocks, MACs), which is independent of how this
+    /// software model evaluates the outputs.
     pub fn run_prefix(&self, signal: &[Complex], n_phases: usize) -> (Vec<Complex>, CorrelatorStats) {
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        let stats = self.run_prefix_into(signal, n_phases, &mut scratch, &mut out);
-        (out, stats)
+        let mut out = vec![Complex::ZERO; n_phases];
+        self.correlator
+            .correlate_into(signal, &mut out, &mut DspScratch::new());
+        (out, self.stats(n_phases))
     }
 
-    /// [`CorrelatorBank::run_prefix`] computing into caller-owned storage.
-    ///
-    /// Identical outputs and hardware accounting; FFT work buffers come from
-    /// `scratch` and the matched-template spectrum is memoized inside the
-    /// bank, so steady-state acquisition sweeps perform zero heap allocation
-    /// and one forward + one inverse transform (instead of two forward + one
-    /// inverse with a per-call template transform).
-    pub fn run_prefix_into(
-        &self,
-        signal: &[Complex],
-        n_phases: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<Complex>,
-    ) -> CorrelatorStats {
-        let m = self.template.len();
-        let use_fft = m > 1 && n_phases.saturating_mul(m) >= Self::FFT_THRESHOLD_MACS;
-        out.clear();
-        if !use_fft {
-            out.reserve(n_phases);
-            for p in 0..n_phases {
-                if p + m > signal.len() {
-                    out.push(Complex::ZERO);
-                    continue;
-                }
-                let mut acc = Complex::ZERO;
-                for (j, &t) in self.template.iter().enumerate() {
-                    acc += signal[p + j] * t.conj();
-                }
-                out.push(acc);
-            }
-        } else if cfg!(feature = "fast-acq") {
-            self.correlate_prefix_fft32(signal, n_phases, scratch, out);
-        } else {
-            self.correlate_prefix_fft(signal, n_phases, scratch, out);
-        }
-        let dwells = n_phases.div_ceil(self.parallelism);
+    /// Hardware cost of evaluating `phases` candidate phases: one dwell of
+    /// one template length per `parallelism` phases, 4 real MACs per
+    /// complex × conj(complex) sample product.
+    pub fn stats(&self, phases: usize) -> CorrelatorStats {
+        let m = self.template_len() as u64;
         CorrelatorStats {
-            phases_evaluated: n_phases,
-            clock_cycles: dwells as u64 * m as u64,
-            mac_ops: n_phases as u64 * m as u64 * 4,
+            phases_evaluated: phases,
+            clock_cycles: phases.div_ceil(self.parallelism) as u64 * m,
+            mac_ops: phases as u64 * m * 4,
         }
-    }
-
-    /// Below this work estimate the direct form wins (and stays exactly
-    /// bit-identical to `run`, which small unit tests rely on).
-    const FFT_THRESHOLD_MACS: usize = 1 << 15;
-
-    /// Pre-builds the memoized matched-template spectrum for the prefix
-    /// sweep [`CorrelatorBank::run_prefix_into`] would run over a signal of
-    /// `signal_len` samples and `n_phases` candidate phases — a no-op when
-    /// that sweep would take the direct (non-FFT) form or when the spectrum
-    /// for the implied transform size is already cached. The batched
-    /// acquisition sweep calls this once per batch so no lane pays the
-    /// template FFT inside its timed search; results are identical either
-    /// way (the memo would otherwise be built lazily on first use).
-    pub fn warm_prefix(&self, signal_len: usize, n_phases: usize) {
-        let m = self.template.len();
-        if !(m > 1 && n_phases.saturating_mul(m) >= Self::FFT_THRESHOLD_MACS) {
-            return;
-        }
-        let needed = (n_phases + m - 1).min(signal_len);
-        if needed < m {
-            return;
-        }
-        let n = next_pow2(needed + m - 1);
-        if cfg!(feature = "fast-acq") {
-            self.ensure_spectrum32(n);
-        } else {
-            self.ensure_spectrum(n);
-        }
-    }
-
-    /// (Re)builds the cached f64 template spectrum for transform size `n`.
-    fn ensure_spectrum(&self, n: usize) {
-        let mut cache = self.tpl_spectrum.borrow_mut();
-        if cache.as_ref().is_none_or(|c| c.n != n) {
-            let fft = cached_plan(n);
-            let mut spec = vec![Complex::ZERO; n];
-            for (o, t) in spec.iter_mut().zip(self.template.iter().rev()) {
-                *o = t.conj();
-            }
-            fft.forward_in_place(&mut spec);
-            *cache = Some(TplSpectrum { n, spec });
-        }
-    }
-
-    /// (Re)builds the cached f32 template spectrum for transform size `n`,
-    /// with the inverse transform's 1/N folded in (see
-    /// [`CorrelatorBank::correlate_prefix_fft32`]).
-    fn ensure_spectrum32(&self, n: usize) {
-        let mut cache = self.tpl_spectrum32.borrow_mut();
-        if cache.as_ref().is_none_or(|c| c.n != n) {
-            let fft = cached_plan32(n);
-            let mut re = vec![0.0f32; n];
-            let mut im = vec![0.0f32; n];
-            for (i, t) in self.template.iter().rev().enumerate() {
-                re[i] = t.re as f32;
-                im[i] = -t.im as f32; // conj
-            }
-            fft.forward_in_place(&mut re, &mut im);
-            // Fold the inverse transform's 1/N into the cached spectrum
-            // so the hot path can use the unscaled inverse (one fewer
-            // pass over the lanes per acquisition).
-            let inv_n = 1.0f32 / n as f32;
-            for x in re.iter_mut() {
-                *x *= inv_n;
-            }
-            for x in im.iter_mut() {
-                *x *= inv_n;
-            }
-            *cache = Some(TplSpectrum32 { n, re, im });
-        }
-    }
-
-    /// FFT path of [`CorrelatorBank::run_prefix_into`]: correlate against the
-    /// memoized template spectrum, writing `n_phases` outputs (zero-filled
-    /// past the last valid lag).
-    fn correlate_prefix_fft(
-        &self,
-        signal: &[Complex],
-        n_phases: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<Complex>,
-    ) {
-        let m = self.template.len();
-        // Only the first `n_phases + m - 1` samples are ever touched.
-        let needed = (n_phases + m - 1).min(signal.len());
-        if needed < m {
-            out.resize(n_phases, Complex::ZERO);
-            return;
-        }
-        let n_valid = needed - m + 1;
-        let n = next_pow2(needed + m - 1);
-        // (Re)build the cached template spectrum when the size changes.
-        self.ensure_spectrum(n);
-        let cache = self.tpl_spectrum.borrow();
-        let spec = &cache
-            .as_ref()
-            .expect("tpl_spectrum populated above for this size")
-            .spec;
-        let fft = cached_plan(n);
-        let mut fa = scratch.take_complex(n);
-        fa[..needed].copy_from_slice(&signal[..needed]);
-        fft.forward_in_place(&mut fa);
-        for (x, y) in fa.iter_mut().zip(spec) {
-            *x *= *y;
-        }
-        fft.inverse_in_place(&mut fa);
-        let take = n_valid.min(n_phases);
-        out.reserve(n_phases);
-        out.extend_from_slice(&fa[m - 1..m - 1 + take]);
-        out.resize(n_phases, Complex::ZERO);
-        scratch.put_complex(fa);
-    }
-
-    /// `fast-acq` twin of [`CorrelatorBank::correlate_prefix_fft`]: the same
-    /// cross-correlation computed through [`uwb_dsp::fft32`] on split f32
-    /// lanes. Outputs differ from the f64 path by ~1e-7 relative (see the
-    /// `fast_acq` parity tests), which acquisition's threshold test and
-    /// argmax absorb; always compiled so the tests can compare both paths.
-    fn correlate_prefix_fft32(
-        &self,
-        signal: &[Complex],
-        n_phases: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<Complex>,
-    ) {
-        let m = self.template.len();
-        let needed = (n_phases + m - 1).min(signal.len());
-        if needed < m {
-            out.resize(n_phases, Complex::ZERO);
-            return;
-        }
-        let n_valid = needed - m + 1;
-        let n = next_pow2(needed + m - 1);
-        self.ensure_spectrum32(n);
-        let cache = self.tpl_spectrum32.borrow();
-        let tpl = cache
-            .as_ref()
-            .expect("tpl_spectrum32 populated above for this size");
-        let fft = cached_plan32(n);
-        let mut sr = scratch.take_f32(n);
-        let mut si = scratch.take_f32(n);
-        for (i, z) in signal[..needed].iter().enumerate() {
-            sr[i] = z.re as f32;
-            si[i] = z.im as f32;
-        }
-        fft.forward_in_place(&mut sr, &mut si);
-        // Pointwise complex product in SoA form.
-        for i in 0..n {
-            let (ar, ai) = (sr[i], si[i]);
-            sr[i] = ar * tpl.re[i] - ai * tpl.im[i];
-            si[i] = ar * tpl.im[i] + ai * tpl.re[i];
-        }
-        fft.inverse_in_place_unscaled(&mut sr, &mut si);
-        let take = n_valid.min(n_phases);
-        out.reserve(n_phases);
-        for i in m - 1..m - 1 + take {
-            out.push(Complex::new(sr[i] as f64, si[i] as f64));
-        }
-        out.resize(n_phases, Complex::ZERO);
-        scratch.put_f32(sr);
-        scratch.put_f32(si);
-    }
-
-    /// Correlates every phase in `0..signal.len() − template_len + 1`
-    /// (a full sliding search).
-    pub fn run_full(&self, signal: &[Complex]) -> (Vec<Complex>, CorrelatorStats) {
-        let n = signal.len().saturating_sub(self.template.len()) + 1;
-        self.run_prefix(signal, n)
     }
 
     /// Time in microseconds the search takes on hardware clocked at
@@ -360,9 +346,18 @@ impl CorrelatorBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use uwb_sim::Rand;
 
     fn template(n: usize) -> Vec<Complex> {
-        (0..n).map(|i| Complex::cis(0.2 * i as f64)).collect()
+        (0..n).map(|i| Complex::new((0.2 * i as f64).cos(), 0.0)).collect()
+    }
+
+    /// Largest output deviation relative to the largest oracle output.
+    fn rel_dev(got: &[Complex], want: &[Complex]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let scale = want.iter().map(|z| z.norm()).fold(f64::MIN_POSITIVE, f64::max);
+        got.iter().zip(want).map(|(a, b)| (*a - *b).norm()).fold(0.0, f64::max) / scale
     }
 
     #[test]
@@ -373,7 +368,7 @@ mod tests {
             sig[40 + i] = t;
         }
         let bank = CorrelatorBank::new(tpl.clone(), 4);
-        let (out, _) = bank.run_full(&sig);
+        let (out, _) = bank.run_prefix(&sig, 85);
         let direct = uwb_dsp::correlation::cross_correlate(&sig, &tpl);
         assert_eq!(out.len(), direct.len());
         for (a, b) in out.iter().zip(&direct) {
@@ -389,7 +384,7 @@ mod tests {
             sig[123 + i] = t;
         }
         let bank = CorrelatorBank::new(tpl, 8);
-        let (out, _) = bank.run_full(&sig);
+        let (out, _) = bank.run_prefix(&sig, 269);
         let mags: Vec<f64> = out.iter().map(|z| z.norm()).collect();
         assert_eq!(uwb_dsp::math::argmax(&mags), Some(123));
     }
@@ -411,77 +406,69 @@ mod tests {
     }
 
     #[test]
-    fn run_prefix_fft_path_matches_direct() {
-        // 512 phases × 128-tap template clears FFT_THRESHOLD_MACS.
-        let tpl = template(128);
-        let mut sig: Vec<Complex> = (0..800)
-            .map(|i| Complex::cis(0.37 * i as f64) * (0.2 + 0.01 * (i % 17) as f64))
-            .collect();
-        for (i, &t) in tpl.iter().enumerate() {
-            sig[333 + i] += t;
-        }
-        let bank = CorrelatorBank::new(tpl, 8);
-        let n_phases = 512;
-        let (fast, s_fast) = bank.run_prefix(&sig, n_phases);
-        let phases: Vec<usize> = (0..n_phases).collect();
-        let (direct, s_direct) = bank.run(&sig, &phases);
-        assert_eq!(s_fast, s_direct, "hardware accounting must not change");
-        assert_eq!(fast.len(), direct.len());
-        // With `fast-acq` the FFT runs in f32, so parity with the f64 direct
-        // form is relative to the output scale rather than near-exact.
-        let scale = direct.iter().map(|z| z.norm()).fold(1.0, f64::max);
-        let tol = if cfg!(feature = "fast-acq") {
-            1e-5 * scale
-        } else {
-            1e-7
-        };
-        for (a, b) in fast.iter().zip(&direct) {
-            assert!((*a - *b).norm() < tol, "{a} vs {b}");
-        }
+    fn spread_template_is_the_transmitted_preamble() {
+        let tx = crate::Gen2Transmitter::new(crate::Gen2Config::nominal_100mbps()).unwrap();
+        let cfg = tx.config();
+        let chips = crate::pn::msequence_chips(cfg.preamble_degree);
+        let corr = PreambleCorrelator::spread(&chips, cfg.samples_per_slot(), tx.pulse());
+        assert_eq!(corr.template(), &tx.preamble_template()[..]);
+        assert_eq!(corr.energy(), PreambleCorrelator::from(tx.preamble_template()).energy());
     }
 
-    /// `fast-acq` acceptance bound: the f32 FFT path must stay within a
-    /// small relative envelope of the f64 FFT path at every phase. The
-    /// envelope (10 ppm of the peak magnitude) is ~1000× tighter than the
-    /// margin between acquisition's detection threshold and real peaks.
-    #[test]
-    fn f32_fft_path_is_ulp_bounded_against_f64() {
-        let tpl = template(128);
-        let mut sig: Vec<Complex> = (0..4096)
-            .map(|i| Complex::cis(1.3 * i as f64) * (0.05 + 0.002 * (i % 31) as f64))
-            .collect();
-        for (i, &t) in tpl.iter().enumerate() {
-            sig[1777 + i] += t * 2.0;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random ±1 chips, spacing 1–16, real pulses of 1–24 taps and
+        /// complex records: the factored prefix sweep equals the direct
+        /// form to 1e-12 of the peak, past-the-end phases are exactly
+        /// zero, and the hardware accounting is the direct form's.
+        #[test]
+        fn factored_sweep_matches_direct_form(seed in any::<u64>()) {
+            let mut rng = Rand::new(seed);
+            let n_chips = 1 + rng.below(40);
+            let spacing = 1 + rng.below(16);
+            let taps = 1 + rng.below(24);
+            let chips: Vec<f64> = (0..n_chips).map(|_| if rng.bit() { 1.0 } else { -1.0 }).collect();
+            let pulse: Vec<f64> = (0..taps).map(|_| rng.gaussian()).collect();
+            let corr = PreambleCorrelator::spread(&chips, spacing, &pulse);
+            let m = corr.template().len();
+            let sig: Vec<Complex> = (0..m + rng.below(200))
+                .map(|_| Complex::new(rng.gaussian(), rng.gaussian()))
+                .collect();
+            // Up to 100 phases past the last in-range lag.
+            let n_phases = 1 + rng.below(sig.len() - m + 100);
+            let bank = CorrelatorBank::new(corr, 1 + rng.below(64));
+            let (fast, s_fast) = bank.run_prefix(&sig, n_phases);
+            let (direct, s_direct) = bank.run(&sig, &(0..n_phases).collect::<Vec<_>>());
+            prop_assert_eq!(s_fast, s_direct);
+            prop_assert!(rel_dev(&fast, &direct) <= 1e-12, "dev {}", rel_dev(&fast, &direct));
+            for z in &fast[(sig.len() + 1 - m).min(n_phases)..] {
+                prop_assert_eq!(*z, Complex::ZERO);
+            }
         }
-        let bank = CorrelatorBank::new(tpl, 8);
-        let n_phases = 3000;
-        let mut scratch = DspScratch::new();
-        let (mut f64_out, mut f32_out) = (Vec::new(), Vec::new());
-        bank.correlate_prefix_fft(&sig, n_phases, &mut scratch, &mut f64_out);
-        bank.correlate_prefix_fft32(&sig, n_phases, &mut scratch, &mut f32_out);
-        assert_eq!(f64_out.len(), f32_out.len());
-        let scale = f64_out.iter().map(|z| z.norm()).fold(f64::MIN_POSITIVE, f64::max);
-        let mut worst = 0.0f64;
-        for (a, b) in f32_out.iter().zip(&f64_out) {
-            worst = worst.max((*a - *b).norm());
+
+        /// The degenerate factoring (one chip, the template as pulse) of
+        /// an arbitrary real template is the same linear correlation.
+        #[test]
+        fn dense_template_matches_direct_form(seed in any::<u64>()) {
+            let mut rng = Rand::new(seed);
+            let m = 1 + rng.below(150);
+            let tpl: Vec<Complex> = (0..m).map(|_| Complex::new(rng.gaussian(), 0.0)).collect();
+            let sig: Vec<Complex> = (0..m + rng.below(300))
+                .map(|_| Complex::new(rng.gaussian(), rng.gaussian()))
+                .collect();
+            let n_phases = 1 + rng.below(sig.len() - m + 40);
+            let bank = CorrelatorBank::new(tpl, 8);
+            let (fast, s_fast) = bank.run_prefix(&sig, n_phases);
+            let (direct, s_direct) = bank.run(&sig, &(0..n_phases).collect::<Vec<_>>());
+            prop_assert_eq!(s_fast, s_direct);
+            prop_assert!(rel_dev(&fast, &direct) <= 1e-12, "dev {}", rel_dev(&fast, &direct));
         }
-        assert!(
-            worst <= 1e-5 * scale,
-            "worst abs deviation {worst} exceeds 1e-5 × peak {scale}"
-        );
-        // And the argmax — the decision acquisition actually takes — agrees.
-        let am = |v: &[Complex]| {
-            let mags: Vec<f64> = v.iter().map(|z| z.norm()).collect();
-            uwb_dsp::math::argmax(&mags)
-        };
-        assert_eq!(am(&f32_out), am(&f64_out));
-        assert_eq!(am(&f64_out), Some(1777));
     }
 
     #[test]
     fn run_prefix_handles_short_signal() {
-        // n_phases extends past the valid range: tail phases must be zero,
-        // on both the direct and FFT paths.
+        // n_phases extends past the valid range: tail phases must be zero.
         let tpl = template(64);
         let sig = vec![Complex::ONE; 600];
         let bank = CorrelatorBank::new(tpl, 4);
@@ -492,6 +479,11 @@ mod tests {
         for z in &out[537..] {
             assert_eq!(*z, Complex::ZERO);
         }
+        // A record shorter than the template has no in-range lag at all.
+        let mut out = vec![Complex::ONE; 8];
+        let lags = bank.correlator().correlate_into(&sig[..63], &mut out, &mut DspScratch::new());
+        assert_eq!(lags, 0);
+        assert!(out.iter().all(|z| *z == Complex::ZERO));
     }
 
     #[test]
@@ -521,6 +513,18 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_template_panics() {
         CorrelatorBank::new(Vec::new(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "real")]
+    fn complex_template_panics() {
+        CorrelatorBank::new(vec![Complex::I], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "±1")]
+    fn non_binary_chip_panics() {
+        PreambleCorrelator::spread(&[1.0, 0.5], 2, &[1.0]);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::error::PhyError;
 use crate::mlse::MlseEqualizer;
 use crate::modulation::Modulation;
 use crate::packet::{decode_header, decode_payload, header_slot_count, payload_slot_count, Header};
-use crate::pulse::PulseShape;
 use crate::rake::RakeReceiver;
 use crate::tx::Gen2Transmitter;
 use uwb_adc::Quantizer;
@@ -103,7 +102,6 @@ impl Default for RxState {
 pub struct Gen2Receiver {
     config: Gen2Config,
     pulse: Vec<Complex>,
-    preamble_template: Vec<Complex>,
     acquisition: CoarseAcquisition,
     quantizer: Quantizer,
 }
@@ -117,19 +115,17 @@ impl Gen2Receiver {
     /// validation.
     pub fn new(config: Gen2Config) -> Result<Self, PhyError> {
         config.validate()?;
-        let pulse = PulseShape::gen2_default().generate_complex(config.sample_rate);
-        // Reuse the transmitter's template construction so both ends agree.
+        // Reuse the transmitter's pulse and preamble so both ends agree.
         let tx = Gen2Transmitter::new(config.clone())?;
-        let preamble_template = tx.preamble_template();
+        let pulse = tx.pulse().iter().map(|&x| Complex::new(x, 0.0)).collect();
         let acquisition = CoarseAcquisition::new(
-            preamble_template.clone(),
+            tx.preamble_correlator(),
             AcquisitionConfig::with_clock(config.sample_rate.as_hz()),
         );
         let quantizer = Quantizer::new(config.adc_bits, 1.0);
         Ok(Gen2Receiver {
             config,
             pulse,
-            preamble_template,
             acquisition,
             quantizer,
         })
@@ -143,7 +139,7 @@ impl Gen2Receiver {
     /// Length of one preamble-period template in samples (what acquisition
     /// correlates against).
     pub(crate) fn template_len(&self) -> usize {
-        self.preamble_template.len()
+        self.acquisition.correlator().template().len()
     }
 
     /// Length of the matched-filter pulse template in samples.
@@ -210,8 +206,8 @@ impl Gen2Receiver {
     }
 
     /// Coarse acquisition over an already-digitized record: one preamble
-    /// period of candidate phases correlated against the cached
-    /// matched-template spectrum. Emits the acquisition forensics notes and,
+    /// period of candidate phases through the factored preamble
+    /// correlator. Emits the acquisition forensics notes and,
     /// on a miss, the `acq_miss` event.
     pub fn acquire_record(&self, digitized: &[Complex], state: &mut RxState) -> AcquisitionResult {
         let sps = self.config.samples_per_slot();
@@ -288,11 +284,12 @@ impl Gen2Receiver {
             let _t = uwb_obs::span!("rx_chanest");
             estimate_cir_into(
                 digitized,
-                &self.preamble_template,
+                self.acquisition.correlator(),
                 est_start,
                 CIR_WINDOW,
                 periods,
                 period,
+                &mut state.scratch,
                 &mut state.estimate,
             );
             if let Some(bits) = self.config.chanest_bits {
@@ -594,7 +591,8 @@ impl Gen2Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uwb_sim::awgn::add_awgn_complex;
+    use uwb_dsp::math::db_to_pow;
+    use uwb_sim::awgn::{add_awgn_complex, add_awgn_complex_in_place};
     use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
     use uwb_sim::Rand;
 
@@ -621,6 +619,87 @@ mod tests {
             &mut out,
         );
         out
+    }
+
+    /// Decision parity of the factored preamble correlator with the direct
+    /// dot-product form over 2,048 gen2 records (AWGN and CM3, Eb/N0
+    /// 0–14 dB with a unit-energy pulse per bit): identical acquisition
+    /// offset and detection, identical 4-bit channel-estimate levels and
+    /// identical RAKE finger indices.
+    #[test]
+    fn factored_correlator_keeps_every_decision() {
+        use crate::chanest::tests::estimate_cir_direct;
+        let cfg = Gen2Config {
+            preamble_repeats: 2,
+            ..Gen2Config::nominal_100mbps()
+        };
+        let (tx, rx) = link(&cfg);
+        let period = cfg.preamble_length() * cfg.samples_per_slot();
+        let periods = (cfg.preamble_repeats - 1).max(1);
+        let bits = cfg.chanest_bits.expect("nominal config quantizes the estimate");
+        let template = rx.acquisition.correlator().template().to_vec();
+        // Quantizer level indices `k` of `(k + 0.5)·step`, step from the
+        // raw estimate's own full scale.
+        let levels = |raw: &ChannelEstimate| -> Vec<(i64, i64)> {
+            let fs = raw.taps().iter().fold(0.0f64, |m, z| m.max(z.re.abs()).max(z.im.abs()));
+            let step = 2.0 * fs / f64::from(1u32 << bits);
+            let k = |x: f64| (x / step - 0.5).round() as i64;
+            raw.quantized(bits).taps().iter().map(|z| (k(z.re), k(z.im))).collect()
+        };
+        let mut rng = Rand::new(0xdec1);
+        let mut state = RxState::new();
+        let mut raw = ChannelEstimate::new(vec![Complex::ZERO]);
+        let (mut oracle, mut fingers, mut oracle_fingers) = (Vec::new(), Vec::new(), Vec::new());
+        let mut locks = 0;
+        for rec in 0..2048usize {
+            let burst = tx.transmit_packet(&[rec as u8; 8]).unwrap();
+            let mut samples = if rec % 2 == 0 {
+                burst.samples.clone()
+            } else {
+                ChannelRealization::generate(ChannelModel::Cm3, &mut rng)
+                    .apply(&burst.samples, cfg.sample_rate)
+            };
+            let ebn0_db = 2.0 * (rec / 2 % 8) as f64;
+            add_awgn_complex_in_place(&mut samples, 1.0 / db_to_pow(ebn0_db), &mut rng);
+            let dig = rx.digitize(&samples);
+            state.chanest_memo = None;
+
+            let acq = rx.acquire_record(&dig, &mut state);
+            oracle.clear();
+            oracle.extend((0..acq.stats.phases_evaluated).map(|l| {
+                if l + template.len() <= dig.len() {
+                    uwb_dsp::simd::dot_real_template(&dig[l..], &template)
+                } else {
+                    Complex::ZERO
+                }
+            }));
+            let (offset, metric) = rx.acquisition.peak(&dig, &oracle);
+            assert_eq!(acq.offset, offset, "record {rec}: acquisition offset");
+            assert_eq!(acq.detected, metric >= rx.acquisition.config().threshold, "record {rec}");
+            locks += usize::from(acq.detected);
+
+            let est_start = rx.prepare_rake_on(&dig, &mut state, acq.offset);
+            let mut scratch = DspScratch::new();
+            estimate_cir_into(
+                &dig,
+                rx.acquisition.correlator(),
+                est_start,
+                CIR_WINDOW,
+                periods,
+                period,
+                &mut scratch,
+                &mut raw,
+            );
+            assert_eq!(state.estimate, raw.quantized(bits), "record {rec}: receiver estimate");
+            let want = estimate_cir_direct(&dig, &template, est_start, CIR_WINDOW, periods, period);
+            assert_eq!(levels(&raw), levels(&want), "record {rec}: quantized levels");
+            assert_eq!(raw.quantized(bits), want.quantized(bits), "record {rec}: quantized taps");
+            raw.quantized(bits).select_strongest_into(cfg.rake_fingers, &mut fingers);
+            want.quantized(bits).select_strongest_into(cfg.rake_fingers, &mut oracle_fingers);
+            assert_eq!(fingers, oracle_fingers, "record {rec}: RAKE fingers");
+        }
+        // The sweep reaches both sides of the detection threshold.
+        assert!((1024..2048).contains(&locks), "{locks} of 2048 records acquired");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! is needed (FCC mask, Fig. 4).
 
 use crate::config::Gen2Config;
+use crate::correlator::PreambleCorrelator;
 use crate::error::PhyError;
 use crate::packet::{build_frame_into, FrameScratch, FrameSlots};
 use crate::pulse::PulseShape;
@@ -171,20 +172,16 @@ impl Gen2Transmitter {
     /// The preamble template waveform (one m-sequence period as pulses),
     /// used by the receiver's correlators.
     pub fn preamble_template(&self) -> Vec<Complex> {
+        self.preamble_correlator().template().to_vec()
+    }
+
+    /// The one-period preamble as a factored correlator: the m-sequence
+    /// chips, one slot apart, each carrying [`Gen2Transmitter::pulse`].
+    /// Template sample 0 aligns with (chip-0 center − `pulse.len()/2`) in
+    /// a transmitted burst.
+    pub fn preamble_correlator(&self) -> PreambleCorrelator {
         let chips = crate::pn::msequence_chips(self.config.preamble_degree);
-        let sps = self.config.samples_per_slot();
-        // Chip k's pulse occupies [k*sps, k*sps + pulse.len()); sample 0 of
-        // the template aligns with (chip-0 center − pulse.len()/2) in a
-        // transmitted burst.
-        let n = (chips.len() - 1) * sps + self.pulse.len();
-        let mut out = vec![Complex::ZERO; n];
-        for (k, &c) in chips.iter().enumerate() {
-            let start = k * sps;
-            for (j, &p) in self.pulse.iter().enumerate() {
-                out[start + j].re += c * p;
-            }
-        }
-        out
+        PreambleCorrelator::spread(&chips, self.config.samples_per_slot(), &self.pulse)
     }
 }
 

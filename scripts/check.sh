@@ -110,9 +110,8 @@ obs() {
     cargo build --release -p uwb-bench --features obs-trace --bin smoke
     ./target/release/smoke --trace target/trace.json
     test -s target/trace.json
-    echo "== obs: feature matrix (precise Gaussian stream, f64 acquisition) =="
+    echo "== obs: feature matrix (precise Gaussian stream) =="
     cargo test -q -p uwb-sim --features precise
-    cargo test -q -p uwb-phy --no-default-features
 }
 
 stream() {
