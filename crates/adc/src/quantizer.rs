@@ -89,8 +89,8 @@ impl Quantizer {
     }
 
     /// [`Quantizer::quantize_scaled_into`] that *appends* to `out` instead
-    /// of replacing it (same per-sample arithmetic), so the batched runtime
-    /// can digitize straight into a flat multi-trial lane buffer.
+    /// of replacing it (same per-sample arithmetic), so a receiver can
+    /// digitize record windows one after another onto one buffer.
     pub fn quantize_scaled_append(&self, input: &[Complex], gain: f64, out: &mut Vec<Complex>) {
         let half_levels = (self.levels() / 2) as f64;
         uwb_dsp::simd::quantize_scaled_append(

@@ -23,12 +23,16 @@
 //! {
 //!   "schema": "uwb-dspbench-v1",
 //!   "kernels_us": { "<name>": <median-microseconds-per-call>, ... },
-//!   "throughput_tps": { "full_path": <trials/s>, "fast_path": <trials/s>,
-//!                       "fast_path_batched": <trials/s> },
+//!   "info_us": { "<name>": <best-microseconds-per-call>, ... },
+//!   "throughput_tps": { "full_path": <trials/s>, "fast_path": <trials/s> },
 //!   "stage_ns_per_trial": { "stage:<name>": <ns-per-trial>, ... },
 //!   "fft_plans_built": <count>
 //! }
 //! ```
+//!
+//! `info_us` rows time the remaining back-end blocks (Viterbi, MLSE, SV
+//! channel generation, FIR, Welch PSD, the gen1 receiver, the ADC models);
+//! they are reported against the baseline but never gate.
 //!
 //! `stage_ns_per_trial` is the per-stage wall-clock profile of the full-path
 //! throughput loop (uwb-obs stage timers; empty when the `obs`
@@ -37,19 +41,22 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use uwb_bench::tracked::{check_against, time_us, MetricPolicy};
+use uwb_adc::{InterleaveMismatch, InterleavedAdc, Quantizer, SarAdc};
+use uwb_bench::tracked::{bench_args, check_against, time_us, MetricPolicy};
 use uwb_bench::EXPERIMENT_SEED;
 use uwb_dsp::correlation::{circular_autocorrelation, cross_correlate_fft_into};
 use uwb_dsp::fft::{cached_plan, fft_convolve_real_into, fft_plans_built, Fft};
-use uwb_dsp::{Complex, DspScratch};
+use uwb_dsp::{Complex, DspScratch, FirFilter, Window};
+use uwb_gen1::{Gen1Config, Gen1Receiver, Gen1Transmitter};
 use uwb_phy::chanest::estimate_cir_into;
-use uwb_phy::{AcquisitionConfig, ChannelEstimate, CoarseAcquisition, Gen2Config, Gen2Transmitter};
-use uwb_platform::link::{
-    BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
+use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
+use uwb_phy::{
+    AcquisitionConfig, ChannelEstimate, CoarseAcquisition, ConvCode, Gen2Config, Gen2Transmitter,
 };
+use uwb_platform::link::{LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_platform::ErrorCounter;
-use uwb_sim::montecarlo::resolve_batch;
 use uwb_sim::awgn::add_noise_snr;
+use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
 use uwb_sim::Rand;
 
 /// One measured kernel: name + median microseconds per call.
@@ -230,12 +237,126 @@ fn run_kernels() -> Vec<Kernel> {
     out
 }
 
-/// The three end-to-end throughput figures plus the loop-wide FFT-plan
+/// Informational timings of the back-end blocks outside the link trial's
+/// hot path: soft Viterbi (K=3, K=7) and 3-tap MLSE over 1000 symbols, SV
+/// channel draws (CM1, CM4), a 63-tap FIR over 4096 samples, a Welch PSD of
+/// 16k samples in 1024-sample segments, one gen1 8-bit reception, and the
+/// ideal 5-bit quantizer, mismatched 5-bit SAR and 4-way interleaved flash
+/// ADC models over 100k samples.
+fn run_info_kernels() -> Vec<Kernel> {
+    let mut out = Vec::new();
+    let mut rng = Rand::new(30);
+
+    let bits: Vec<bool> = (0..1000).map(|_| rng.bit()).collect();
+    for (name, code) in [
+        ("viterbi_k3_1000b", ConvCode::k3()),
+        ("viterbi_k7_1000b", ConvCode::k7()),
+    ] {
+        let soft: Vec<f64> = code
+            .encode(&bits)
+            .iter()
+            .map(|&b| if b { 1.0 } else { -1.0 } + 0.3 * rng.gaussian())
+            .collect();
+        out.push(Kernel {
+            name,
+            us_per_call: time_us(20, 5, || {
+                std::hint::black_box(code.decode_soft(&soft));
+            }),
+        });
+    }
+
+    let h = vec![
+        Complex::new(1.0, 0.0),
+        Complex::new(0.5, 0.1),
+        Complex::new(-0.2, 0.2),
+    ];
+    let rx = apply_symbol_channel(&bits, &h);
+    let eq = MlseEqualizer::new(h);
+    out.push(Kernel {
+        name: "mlse_3tap_1000sym",
+        us_per_call: time_us(20, 5, || {
+            std::hint::black_box(eq.equalize(&rx));
+        }),
+    });
+
+    for (name, model) in [
+        ("sv_channel_cm1", ChannelModel::Cm1),
+        ("sv_channel_cm4", ChannelModel::Cm4),
+    ] {
+        let mut rng = Rand::new(31);
+        out.push(Kernel {
+            name,
+            us_per_call: time_us(50, 5, || {
+                std::hint::black_box(ChannelRealization::generate(model, &mut rng));
+            }),
+        });
+    }
+
+    let fir = FirFilter::lowpass(63, 0.2, Window::Hamming);
+    let x: Vec<Complex> = (0..4096).map(|i| Complex::cis(0.07 * i as f64)).collect();
+    out.push(Kernel {
+        name: "fir63_4096",
+        us_per_call: time_us(20, 5, || {
+            std::hint::black_box(fir.filter_complex(&x));
+        }),
+    });
+
+    let sig: Vec<Complex> = (0..16_384).map(|i| Complex::cis(0.01 * i as f64)).collect();
+    out.push(Kernel {
+        name: "welch_psd_16k_1024",
+        us_per_call: time_us(10, 5, || {
+            std::hint::black_box(uwb_dsp::psd::welch(&sig, 1e9, 1024, Window::Hann));
+        }),
+    });
+
+    let cfg = Gen1Config {
+        pulses_per_bit: 8,
+        ..Gen1Config::demonstrated_193kbps()
+    };
+    let burst = Gen1Transmitter::new(cfg.clone())
+        .transmit(&[true, false, true, true, false, false, true, false]);
+    let gen1 = Gen1Receiver::new(cfg, InterleaveMismatch::typical(), 2);
+    out.push(Kernel {
+        name: "gen1_rx_8bits",
+        us_per_call: time_us(5, 5, || {
+            std::hint::black_box(gen1.receive(&burst.samples, 8).expect("gen1 decodes"));
+        }),
+    });
+
+    let x: Vec<f64> = (0..100_000)
+        .map(|i| (i as f64 * 0.01).sin() * 0.9)
+        .collect();
+    let q = Quantizer::new(5, 1.0);
+    out.push(Kernel {
+        name: "adc_quantizer_5b_100k",
+        us_per_call: time_us(5, 5, || {
+            std::hint::black_box(q.quantize_block(&x));
+        }),
+    });
+    let sar = SarAdc::with_mismatch(5, 1.0, 0.01, 0.0, &mut rng);
+    let mut sar_rng = Rand::new(32);
+    out.push(Kernel {
+        name: "adc_sar_5b_100k",
+        us_per_call: time_us(5, 5, || {
+            std::hint::black_box(sar.convert_block(&x, &mut sar_rng));
+        }),
+    });
+    let flash = InterleavedAdc::gen1(4, InterleaveMismatch::typical(), &mut rng);
+    out.push(Kernel {
+        name: "adc_flash_4way_100k",
+        us_per_call: time_us(5, 5, || {
+            std::hint::black_box(flash.convert_block(&x));
+        }),
+    });
+
+    out
+}
+
+/// The two end-to-end throughput figures plus the loop-wide FFT-plan
 /// count and the full-path stage profile.
 struct Throughput {
     full_tps: f64,
     fast_tps: f64,
-    fast_batched_tps: f64,
     plans_built: u64,
     telemetry: uwb_obs::Telemetry,
 }
@@ -244,14 +365,13 @@ struct Throughput {
 /// (AWGN, preamble_repeats = 2, Eb/N0 = 6 dB, 24-byte payload) — one
 /// worker driven directly, exactly what each Monte-Carlo thread executes.
 ///
-/// Three loops: the unbatched full and fast (BER-only) paths, then the fast
-/// path on the batched stage-sweep runtime at `UWB_BATCH` (default
-/// `DEFAULT_BATCH`) trials per batch. `plans_built` counts the FFT plans
+/// Two loops: the full and the fast (BER-only) path. `plans_built` counts
+/// the FFT plans
 /// constructed over the whole section *including* warm-up — in the steady state this must equal the
 /// number of distinct transform sizes the link path touches (each size
 /// planned exactly once, never per trial), so the JSON number stays O(1)
 /// no matter how many trials run — and `telemetry` is the per-stage
-/// profile of the timed unbatched full-path loop (empty when the `obs`
+/// profile of the timed full-path loop (empty when the `obs`
 /// feature is off).
 fn run_throughput(trials: u64) -> Throughput {
     let config = Gen2Config {
@@ -289,68 +409,36 @@ fn run_throughput(trials: u64) -> Throughput {
     }
     let fast_tps = trials as f64 / t0.elapsed().as_secs_f64();
 
-    // Batched stage-sweep fast path: `UWB_BATCH` (default
-    // [`DEFAULT_BATCH`]) consecutive trials per sub-batch — the per-worker
-    // loop `MonteCarlo::run_batched` executes. The pinned baseline is
-    // generated with `UWB_BATCH` unset; the env override exists for B-sweep
-    // measurements (see EXPERIMENTS.md).
-    let batch = resolve_batch(None);
-    let mut scratch = BatchScratch::new();
-    let mut counter = ErrorCounter::default();
-    worker.trial_batch_ber_streamed(
-        &scenario,
-        24,
-        DEFAULT_STREAM_BLOCK,
-        0..batch.min(trials.max(1)),
-        &mut scratch,
-        &mut counter,
-    );
-    let t0 = Instant::now();
-    let mut lo = 0;
-    while lo < trials {
-        let hi = (lo + batch).min(trials);
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            DEFAULT_STREAM_BLOCK,
-            lo..hi,
-            &mut scratch,
-            &mut counter,
-        );
-        lo = hi;
-    }
-    let fast_batched_tps = trials as f64 / t0.elapsed().as_secs_f64();
-
     Throughput {
         full_tps,
         fast_tps,
-        fast_batched_tps,
         plans_built: fft_plans_built() - plans_before,
         telemetry,
     }
 }
 
-fn render_json(
-    kernels: &[Kernel],
-    tp: &Throughput,
-    trials: u64,
-) -> String {
+/// Renders `kernels` as the JSON object `"section": { "name": µs, ... },`.
+fn render_section(s: &mut String, section: &str, kernels: &[Kernel]) {
+    s.push_str(&format!("  \"{section}\": {{\n"));
+    for (i, k) in kernels.iter().enumerate() {
+        let comma = if i + 1 == kernels.len() { "" } else { "," };
+        s.push_str(&format!(
+            "    \"{}\": {:.3}{comma}\n",
+            k.name, k.us_per_call
+        ));
+    }
+    s.push_str("  },\n");
+}
+
+fn render_json(kernels: &[Kernel], info: &[Kernel], tp: &Throughput, trials: u64) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"uwb-dspbench-v1\",\n");
-    s.push_str("  \"kernels_us\": {\n");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 == kernels.len() { "" } else { "," };
-        s.push_str(&format!("    \"{}\": {:.3}{comma}\n", k.name, k.us_per_call));
-    }
-    s.push_str("  },\n");
+    render_section(&mut s, "kernels_us", kernels);
+    render_section(&mut s, "info_us", info);
     s.push_str("  \"throughput_tps\": {\n");
     s.push_str(&format!("    \"full_path\": {:.1},\n", tp.full_tps));
-    s.push_str(&format!("    \"fast_path\": {:.1},\n", tp.fast_tps));
-    s.push_str(&format!(
-        "    \"fast_path_batched\": {:.1}\n",
-        tp.fast_batched_tps
-    ));
+    s.push_str(&format!("    \"fast_path\": {:.1}\n", tp.fast_tps));
     s.push_str("  },\n");
     // Informational stage profile ("stage:"-prefixed keys are skipped by the
     // regression checker). ns per trial, not per call, so stages that run
@@ -369,75 +457,56 @@ fn render_json(
 }
 
 /// Metric policy for the `uwb-dspbench-v1` schema: kernel times are the
-/// gate; end-to-end trials/s is too load-sensitive to gate CI on and the
-/// `stage:` profile is wall-clock, machine- and feature-dependent.
+/// gate; the `info_us` rows and end-to-end trials/s are informational, and
+/// the `stage:` profile is wall-clock, machine- and feature-dependent.
 fn metric_policy(key: &str) -> MetricPolicy {
     if key == "schema" || key == "fft_plans_built" || key.starts_with("stage:") {
         MetricPolicy::Skip
-    } else if matches!(key, "full_path" | "fast_path" | "fast_path_batched") {
+    } else if matches!(key, "full_path" | "fast_path") {
         MetricPolicy::InfoHigherBetter
+    } else if matches!(
+        key,
+        "viterbi_k3_1000b"
+            | "viterbi_k7_1000b"
+            | "mlse_3tap_1000sym"
+            | "sv_channel_cm1"
+            | "sv_channel_cm4"
+            | "fir63_4096"
+            | "welch_psd_16k_1024"
+            | "gen1_rx_8bits"
+            | "adc_quantizer_5b_100k"
+            | "adc_sar_5b_100k"
+            | "adc_flash_4way_100k"
+    ) {
+        MetricPolicy::InfoLowerBetter
     } else {
         MetricPolicy::Gate
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tol_pct = 15.0;
-    let mut trials = 400u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--check" => {
-                check_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--tol" => {
-                tol_pct = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(tol_pct);
-                i += 2;
-            }
-            "--trials" => {
-                trials = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(trials);
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "dspbench: unknown argument {other}\n\
-                     usage: dspbench [--out PATH] [--check BASELINE [--tol PCT]] [--trials N]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let args = match bench_args("dspbench", std::env::args().skip(1), "--trials", 400) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let trials = args.count;
 
     // Throughput first, on a cold plan cache, so `fft_plans_built` reports
     // exactly how many distinct transform sizes the link path planned (each
     // once). The kernel section would otherwise pre-populate the cache.
     let tp = run_throughput(trials);
     let kernels = run_kernels();
-    let json = render_json(&kernels, &tp, trials);
+    let info = run_info_kernels();
+    let json = render_json(&kernels, &info, &tp, trials);
 
     for k in &kernels {
         println!("{:<34} {:>10.2} µs/call", k.name, k.us_per_call);
     }
+    for k in &info {
+        println!("{:<34} {:>10.2} µs/call (info)", k.name, k.us_per_call);
+    }
     println!("{:<34} {:>10.1} trials/s (1 thread)", "full_path", tp.full_tps);
     println!("{:<34} {:>10.1} trials/s (1 thread)", "fast_path", tp.fast_tps);
-    println!(
-        "{:<34} {:>10.1} trials/s (1 thread, B={})",
-        "fast_path_batched", tp.fast_batched_tps, resolve_batch(None)
-    );
     println!("{:<34} {:>10}", "fft_plans_built", tp.plans_built);
 
     // Per-stage profile of the full-path loop (uwb-obs stage timers).
@@ -447,15 +516,15 @@ fn main() -> ExitCode {
         print!("{profile}");
     }
 
-    if let Some(path) = out_path {
+    if let Some(path) = args.out {
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("dspbench: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
     }
-    if let Some(path) = check_path {
-        return check_against("dspbench", &path, &json, tol_pct, &metric_policy);
+    if let Some(path) = args.check {
+        return check_against("dspbench", &path, &json, args.tol_pct, &metric_policy);
     }
     ExitCode::SUCCESS
 }

@@ -28,7 +28,7 @@ fn format_cell(run: &BerRun) -> String {
 }
 
 /// One BER point on 32-byte payloads through the known-timing runner at the
-/// default block, batch width and thread count.
+/// default block and thread count.
 fn ber_point(scenario: &LinkScenario, target_errors: u64, max_bits: u64) -> BerRun {
     run_ber_fast_streamed_tuned(
         scenario,
@@ -81,11 +81,9 @@ fn main() {
             "RAKE-8 + MLSE-3",
             "1-finger baseline",
         ]);
-        // Batched stage-sweep runner (`UWB_BATCH` wide), bit-identical for
-        // any batch width; multipath points use the streamed convolution,
-        // which agrees with whole-record FFT convolution to numerical
-        // precision (see EXPERIMENTS.md for the value shift at the E5
-        // re-baseline).
+        // Multipath points use the streamed convolution, which agrees with
+        // whole-record FFT convolution to numerical precision (see
+        // EXPERIMENTS.md for the value shift at the E5 re-baseline).
         for &ebn0 in &grid {
             let rake = ber_point(
                 &LinkScenario {

@@ -48,7 +48,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use uwb_bench::tracked::{check_against, time_us, MetricPolicy};
+use uwb_bench::tracked::{bench_args, check_against, time_us, MetricPolicy};
 use uwb_bench::EXPERIMENT_SEED;
 use uwb_mac::{plan_mac, run_mac_plan_threads, MacAccumulator, MacScenario, MacWorker};
 use uwb_net::ChannelPolicy;
@@ -72,45 +72,11 @@ fn bench_scenario() -> MacScenario {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tol_pct = 15.0;
-    let mut trials = 6u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--check" => {
-                check_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--tol" => {
-                tol_pct = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(tol_pct);
-                i += 2;
-            }
-            "--trials" => {
-                trials = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(trials);
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "macbench: unknown argument {other}\n\
-                     usage: macbench [--out PATH] [--check BASELINE [--tol PCT]] [--trials N]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let args = match bench_args("macbench", std::env::args().skip(1), "--trials", 6) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let trials = args.count;
 
     let scenario = bench_scenario();
     let mut kernels = Vec::new();
@@ -262,15 +228,15 @@ fn main() -> ExitCode {
         print!("{profile}");
     }
 
-    if let Some(path) = out_path {
+    if let Some(path) = args.out {
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("macbench: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
     }
-    if let Some(path) = check_path {
-        return check_against("macbench", &path, &json, tol_pct, &metric_policy);
+    if let Some(path) = args.check {
+        return check_against("macbench", &path, &json, args.tol_pct, &metric_policy);
     }
     ExitCode::SUCCESS
 }

@@ -40,7 +40,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use uwb_bench::tracked::{check_against, time_us, MetricPolicy};
+use uwb_bench::tracked::{bench_args, check_against, time_us, MetricPolicy};
 use uwb_bench::EXPERIMENT_SEED;
 use uwb_dsp::stream::accumulate_scaled;
 use uwb_dsp::Complex;
@@ -72,45 +72,11 @@ fn noise_complex(n: usize, seed: u64) -> Vec<Complex> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tol_pct = 15.0;
-    let mut rounds = 24u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--check" => {
-                check_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--tol" => {
-                tol_pct = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(tol_pct);
-                i += 2;
-            }
-            "--rounds" => {
-                rounds = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(rounds);
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "netbench: unknown argument {other}\n\
-                     usage: netbench [--out PATH] [--check BASELINE [--tol PCT]] [--rounds N]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let args = match bench_args("netbench", std::env::args().skip(1), "--rounds", 24) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let rounds = args.count;
 
     let scenario = bench_scenario();
     let mut kernels = Vec::new();
@@ -283,15 +249,15 @@ fn main() -> ExitCode {
         print!("{profile}");
     }
 
-    if let Some(path) = out_path {
+    if let Some(path) = args.out {
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("netbench: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
     }
-    if let Some(path) = check_path {
-        return check_against("netbench", &path, &json, tol_pct, &metric_policy);
+    if let Some(path) = args.check {
+        return check_against("netbench", &path, &json, args.tol_pct, &metric_policy);
     }
     ExitCode::SUCCESS
 }

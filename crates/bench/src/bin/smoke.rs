@@ -44,7 +44,7 @@ fn tps(v: Option<f64>) -> String {
 }
 
 /// The known-timing runner on 24-byte payloads until 20 bit errors or
-/// 200 000 bits, at the default block, batch width, and `UWB_THREADS`.
+/// 200 000 bits, at the default block and `UWB_THREADS`.
 fn fast_run(scenario: &LinkScenario, budget: TrialBudget) -> BerRun {
     run_ber_fast_streamed_tuned(
         scenario,
@@ -193,9 +193,7 @@ fn main() -> ExitCode {
         ..Gen2Config::nominal_100mbps()
     };
     // 6 dB AWGN: a few errors per thousand bits, so the error target is
-    // reachable well inside the trial budget. Runs on the batched
-    // stage-sweep path (`UWB_BATCH` wide); its counters are bit-identical
-    // for any batch width.
+    // reachable well inside the trial budget.
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
     let budget = TrialBudget { max_trials: 2_000 };
     let run = fast_run(&scenario, budget);

@@ -1,8 +1,9 @@
 //! # uwb-bench — experiment harnesses
 //!
 //! One binary per experiment of `DESIGN.md` §5 (run with
-//! `cargo run -p uwb-bench --release --bin <name>`), plus Criterion benches
-//! for the computational hot paths (`cargo bench`).
+//! `cargo run -p uwb-bench --release --bin <name>`), plus the tracked
+//! timing binaries `dspbench`, `netbench` and `macbench` (see
+//! [`tracked`]).
 //!
 //! | Binary | Experiment | Paper source |
 //! |---|---|---|

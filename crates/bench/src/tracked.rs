@@ -1,7 +1,7 @@
 //! Shared plumbing for the *tracked* benchmark binaries (`dspbench`,
-//! `netbench`, `macbench`): timing, the flat `"name": number` JSON
-//! convention, and the baseline regression checker behind
-//! `scripts/check.sh bench` / `net` / `mac`.
+//! `netbench`, `macbench`): the command-line parser, timing, the flat
+//! `"name": number` JSON convention, and the baseline regression checker
+//! behind `scripts/check.sh bench` / `net` / `mac`.
 //!
 //! Every tracked report uses a flat schema on purpose — each metric is a
 //! single `"name": number` pair at some nesting depth and names are unique
@@ -14,6 +14,92 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use uwb_obs::json::{self, Json};
+
+/// The options every tracked binary takes:
+/// `[--out PATH] [--check BASELINE [--tol PCT]] [--<count> N]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchArgs {
+    /// Where to write the JSON report.
+    pub out: Option<String>,
+    /// Baseline report to check the run against.
+    pub check: Option<String>,
+    /// Regression tolerance of the check, in percent (default 15).
+    pub tol_pct: f64,
+    /// The binary's run length (`--trials` / `--rounds`).
+    pub count: u64,
+}
+
+/// Parses the tracked-binary options. `count_flag` names the run-length
+/// option (`"--trials"`, `"--rounds"`) and `default_count` its default.
+/// A flag without a value, a value that does not parse (`--tol` takes a
+/// finite percentage ≥ 0, the count an integer ≥ 1), `--tol` without
+/// `--check`, and an unknown argument are all errors — never a silent
+/// fallback to a default.
+pub fn parse_args<S: AsRef<str>>(
+    args: &[S],
+    count_flag: &str,
+    default_count: u64,
+) -> Result<BenchArgs, String> {
+    let mut parsed = BenchArgs {
+        out: None,
+        check: None,
+        tol_pct: 15.0,
+        count: default_count,
+    };
+    let mut tol_given = false;
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(flag) = it.next() {
+        let known = matches!(flag, "--out" | "--check" | "--tol") || flag == count_flag;
+        if !known {
+            return Err(format!("unknown argument {flag}"));
+        }
+        let value = match it.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => return Err(format!("{flag} needs a value")),
+        };
+        match flag {
+            "--out" => parsed.out = Some(value.to_string()),
+            "--check" => parsed.check = Some(value.to_string()),
+            "--tol" => {
+                parsed.tol_pct = value
+                    .parse()
+                    .ok()
+                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+                    .ok_or_else(|| format!("--tol {value}: not a percentage"))?;
+                tol_given = true;
+            }
+            _ => {
+                parsed.count = value
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| format!("{flag} {value}: not a positive integer"))?;
+            }
+        }
+    }
+    if tol_given && parsed.check.is_none() {
+        return Err("--tol only applies with --check".into());
+    }
+    Ok(parsed)
+}
+
+/// [`parse_args`] for a binary's `main` (pass `std::env::args().skip(1)`).
+/// On an error, prints it with the usage line to stderr and returns exit
+/// code 2 for `main` to return.
+pub fn bench_args(
+    tool: &str,
+    args: impl IntoIterator<Item = String>,
+    count_flag: &str,
+    default_count: u64,
+) -> Result<BenchArgs, ExitCode> {
+    let args: Vec<String> = args.into_iter().collect();
+    parse_args(&args, count_flag, default_count).map_err(|e| {
+        eprintln!(
+            "{tool}: {e}\nusage: {tool} [--out PATH] [--check BASELINE [--tol PCT]] [{count_flag} N]"
+        );
+        ExitCode::from(2)
+    })
+}
 
 /// Times `f` for `iters` calls, repeated `reps` times; returns the *best*
 /// per-call time in microseconds (minimum is the standard noise-robust
@@ -235,6 +321,79 @@ mod tests {
         let repeated = SAMPLE.replace("\"beta\": 2.5e1", "\"beta\": 2.5e1,\n    \"alpha\": 10.0");
         assert!(metrics(&repeated).is_err());
         assert_eq!(check("repeated", &repeated, SAMPLE), ExitCode::FAILURE);
+    }
+
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
+        parse_args(args, "--trials", 400)
+    }
+
+    #[test]
+    fn parse_args_reads_every_option() {
+        let a = parse(&[
+            "--out", "o.json", "--check", "b.json", "--tol", "7.5", "--trials", "9",
+        ])
+        .unwrap();
+        assert_eq!(a.out.as_deref(), Some("o.json"));
+        assert_eq!(a.check.as_deref(), Some("b.json"));
+        assert_eq!(a.tol_pct, 7.5);
+        assert_eq!(a.count, 9);
+        let d = parse(&[]).unwrap();
+        assert_eq!(
+            (d.out, d.check, d.tol_pct, d.count),
+            (None, None, 15.0, 400)
+        );
+        // The count flag is the binary's own.
+        assert_eq!(
+            parse_args(&["--rounds", "3"], "--rounds", 24)
+                .unwrap()
+                .count,
+            3
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_a_missing_value() {
+        for flag in ["--out", "--check", "--tol", "--trials"] {
+            assert!(parse(&[flag]).is_err(), "{flag} at the end");
+        }
+        // A flag in the value position is a missing value, not a path.
+        assert!(parse(&["--check", "--tol", "5"]).is_err());
+    }
+
+    #[test]
+    fn parse_args_rejects_a_malformed_tolerance() {
+        for tol in ["abc", "-1", "NaN", "inf", ""] {
+            assert!(
+                parse(&["--check", "b.json", "--tol", tol]).is_err(),
+                "--tol {tol:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_args_rejects_a_malformed_count() {
+        for n in ["abc", "0", "-3", "2.5"] {
+            assert!(parse(&["--trials", n]).is_err(), "--trials {n:?}");
+        }
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_arguments_and_a_stray_tolerance() {
+        assert!(
+            parse(&["--rounds", "3"]).is_err(),
+            "another binary's count flag"
+        );
+        assert!(parse(&["extra"]).is_err());
+        assert!(parse(&["--tol", "5"]).is_err(), "--tol without --check");
+    }
+
+    #[test]
+    fn bench_args_exits_with_usage_code_2() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let run = |v: &[&str]| bench_args("test", args(v), "--trials", 400);
+        assert_eq!(run(&["--check"]), Err(ExitCode::from(2)));
+        assert_eq!(run(&["--trials", "abc"]), Err(ExitCode::from(2)));
+        assert_eq!(run(&["--trials", "5"]).map(|a| a.count), Ok(5));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! This module guarantees the transform identities (round trip,
 //! linearity, known spectra) at f32 tolerance; accuracy against the f64
 //! path is the consumer's to bound.
+//!
+//! No receiver path calls it. It is kept only for the `perfbench/` FFT
+//! probe and the `fft32_4096_planned_fwd` row of `dspbench`; delete it
+//! once the probe moves to the preamble correlator.
 
 use std::cell::RefCell;
 use std::rc::Rc;

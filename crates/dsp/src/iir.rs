@@ -169,7 +169,7 @@ impl Biquad {
 
     /// `true` if both poles are strictly inside the unit circle.
     pub fn is_stable(&self) -> bool {
-        // Jury criterion for 2nd order: |a2| < 1 and |a1| < 1 + a2.
+        // Jury stability test for 2nd order: |a2| < 1 and |a1| < 1 + a2.
         let (a1, a2) = (self.a[0], self.a[1]);
         a2.abs() < 1.0 && a1.abs() < 1.0 + a2
     }

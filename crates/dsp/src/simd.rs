@@ -89,9 +89,8 @@ pub fn quantize_scaled_into(
 }
 
 /// [`quantize_scaled_into`] that *appends* to `out` instead of replacing
-/// it — the form used by the batched runtime to digitize one trial's lane
-/// directly into a flat [`crate::batch::BatchArena`] buffer. Sample
-/// arithmetic is identical.
+/// it — the form a receiver uses to digitize record windows one after
+/// another onto one buffer. Sample arithmetic is identical.
 pub fn quantize_scaled_append(
     input: &[Complex],
     gain: f64,

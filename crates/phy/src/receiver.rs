@@ -169,8 +169,8 @@ impl Gen2Receiver {
     /// [`Gen2Receiver::digitize`] *appended* to a caller-owned buffer
     /// (clear it first to replace its contents), fusing the gain and
     /// quantization passes — allocation-free once the buffer capacity
-    /// suffices. Appending lets the batched runtime digitize each trial's
-    /// lane straight into a flat [`uwb_dsp::batch::BatchArena`] buffer.
+    /// suffices. Appending lets the streaming receiver digitize window
+    /// after window onto one buffer.
     pub fn digitize_append(&self, samples: &[Complex], out: &mut Vec<Complex>) {
         let p = uwb_dsp::simd::mean_power(samples);
         if p <= 0.0 {

@@ -24,8 +24,8 @@
 //! use uwb_phy::Gen2Config;
 //!
 //! let scenario = LinkScenario::awgn(Gen2Config::nominal_100mbps(), 10.0, 42);
-//! // 16-byte payloads until 5 bit errors or 20 000 bits; default batch
-//! // width and thread count.
+//! // 16-byte payloads until 5 bit errors or 20 000 bits; default thread
+//! // count.
 //! let counter = run_ber_fast_streamed_tuned(
 //!     &scenario,
 //!     16,

@@ -29,7 +29,6 @@
 
 use crate::metrics::ErrorCounter;
 use std::ops::Range;
-use uwb_dsp::batch::BatchArena;
 use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::Complex;
 use uwb_phy::packet::{decode_payload_bits_into, reference_payload_bits_into};
@@ -38,7 +37,7 @@ use uwb_phy::{
     SpectralMonitor,
 };
 use uwb_rf::TunableNotch;
-use uwb_sim::montecarlo::{resolve_batch, Merge, MonteCarlo, RunStats, StopReason};
+use uwb_sim::montecarlo::{Merge, MonteCarlo, RunStats, StopReason};
 use uwb_sim::stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization, Tap};
 use uwb_sim::{Interferer, Rand};
@@ -122,7 +121,7 @@ pub enum LinkStopReason {
     TargetErrors,
     /// Hit `max_bits` observed bits before the error target.
     BitBudget,
-    /// Ran out of trials before either criterion — the estimate is
+    /// Ran out of trials before either stop condition — the estimate is
     /// truncated and should not be reported as a clean statistic.
     Truncated,
 }
@@ -237,41 +236,15 @@ pub struct CleanSynthesis {
     pub awgn_rng: Rand,
 }
 
-/// Structure-of-arrays scratch for one batch of stage-sweep trials.
-///
-/// The batched runtime holds all B in-flight waveforms in two flat
-/// [`BatchArena`]s (impaired records, then digitized records) plus
-/// per-trial sidecar vectors (synthesis metadata, payload snapshots). One
-/// instance lives next to each [`LinkWorker`] and is reused across batches:
-/// `reset` keeps every buffer's capacity, so warm batches run
-/// allocation-free on the nominal path (enforced by the umbrella crate's
-/// counting-allocator gate).
+/// Kept only because `perfbench/` still names it; delete it together with
+/// [`LinkWorker::trial_batch_ber_streamed`].
 #[derive(Default)]
-pub struct BatchScratch {
-    /// Impaired waveform lanes, one per trial in the batch.
-    records: BatchArena,
-    /// Post-AGC/ADC digitized lanes, one per trial in the batch.
-    digitized: BatchArena,
-    /// Per-trial synthesis metadata (slot-0 start, calibrated N0, AWGN RNG).
-    clean: Vec<CleanSynthesis>,
-    /// Per-trial payload snapshots. The outer vector only ever grows (to
-    /// the largest batch seen); inner buffers are cleared and refilled in
-    /// place, so steady-state batches never allocate here.
-    payloads: Vec<Vec<u8>>,
-}
+pub struct BatchScratch;
 
 impl BatchScratch {
-    /// An empty scratch; buffers warm to their high-water marks over the
-    /// first batch.
+    /// The (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears all per-batch state, keeping every buffer's capacity.
-    fn reset(&mut self) {
-        self.records.clear();
-        self.digitized.clear();
-        self.clean.clear();
+        BatchScratch
     }
 }
 
@@ -472,24 +445,6 @@ impl LinkWorker {
         record: &mut Vec<Complex>,
     ) -> CleanSynthesis {
         record.clear();
-        self.synthesize_clean_streamed_append(scenario, payload_len, block_len, rng, record)
-    }
-
-    /// [`synthesize_clean_streamed_record`](Self::synthesize_clean_streamed_record)
-    /// that *appends* the record after whatever `record` already holds
-    /// instead of replacing it. This is the lane builder for the batched
-    /// structure-of-arrays runtime: B trials' records live back-to-back in
-    /// one flat arena buffer, each built by one call at its own base offset.
-    /// The returned [`CleanSynthesis::slot0_start`] stays relative to this
-    /// trial's own record (the lane), not the arena.
-    fn synthesize_clean_streamed_append(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        rng: &mut Rand,
-        record: &mut Vec<Complex>,
-    ) -> CleanSynthesis {
         let config = &scenario.config;
         {
             let _t = uwb_obs::span!("tx");
@@ -527,14 +482,13 @@ impl LinkWorker {
 
         let block_len = block_len.max(1);
         let n = self.burst.samples.len();
-        let base = record.len();
         record.reserve(n + self.stream_channel.tail_len());
         let scratch = self.rx_state.scratch();
         let mut start = 0;
         while start < n {
             let end = (start + block_len).min(n);
             record.extend_from_slice(&self.burst.samples[start..end]);
-            let block = &mut record[base + start..base + end];
+            let block = &mut record[start..end];
             {
                 let _t = uwb_obs::span!("channel");
                 self.stream_channel.process_block(block, scratch);
@@ -553,8 +507,8 @@ impl LinkWorker {
             let _t = uwb_obs::span!("channel");
             self.stream_channel.flush_into(record, scratch);
         }
-        if record.len() > base + n {
-            let tail = &mut record[base + n..];
+        if record.len() > n {
+            let tail = &mut record[n..];
             if let Some(src) = interferer.as_mut() {
                 let _t = uwb_obs::span!("interferer");
                 src.process_block(tail, scratch);
@@ -608,35 +562,19 @@ impl LinkWorker {
         self.count_errors_digitized(config, slot0_start, counter)
     }
 
-    /// [`count_errors_predigitized`](Self::count_errors_predigitized) over
-    /// the worker's own digitized buffer.
+    /// The known-timing decode/count over the worker's digitized buffer:
+    /// statistics → decode → error count. Returns `true` if the decoded
+    /// payload was error-free. Leaves the channel-estimate memo pointing at
+    /// this record, so an acquired packet decode of the same record that
+    /// locks at `slot0_start` skips the duplicate estimate.
     fn count_errors_digitized(
         &mut self,
         config: &Gen2Config,
         slot0_start: usize,
         counter: &mut ErrorCounter,
     ) -> bool {
-        let digitized = std::mem::take(&mut self.digitized);
-        let ok = self.count_errors_predigitized(config, &digitized, slot0_start, counter);
-        self.digitized = digitized;
-        ok
-    }
-
-    /// The known-timing decode/count: statistics → decode → error count
-    /// over an already-digitized record (the worker's own buffer or one
-    /// lane of the batched arena). Returns `true` if the decoded payload
-    /// was error-free. Leaves the channel-estimate memo pointing at this
-    /// record, so an acquired packet decode of the same record that locks
-    /// at `slot0_start` skips the duplicate estimate.
-    fn count_errors_predigitized(
-        &mut self,
-        config: &Gen2Config,
-        digitized: &[Complex],
-        slot0_start: usize,
-        counter: &mut ErrorCounter,
-    ) -> bool {
         self.rx.payload_statistics_predigitized_with(
-            digitized,
+            &self.digitized,
             slot0_start,
             self.payload.len(),
             &mut self.rx_state,
@@ -747,91 +685,23 @@ impl LinkWorker {
         uwb_obs::recorder::observe(errors, acq_metric_bits);
     }
 
-    /// BER-only batched trial, run as four stage sweeps over `trials`:
-    /// (1) payload → frame → channel → interferer, each trial's clean
-    /// record appended to its own arena lane; (2) calibrated AWGN (and the
-    /// optional notch defense) over every lane, replayed from each trial's
-    /// captured RNG state; (3) AGC/ADC, digitizing each lane into the second
-    /// arena; (4) known-timing statistics → decode → count, one trial at a
-    /// time (the receiver state is inherently per-trial).
-    ///
-    /// Every per-trial operation re-tags the telemetry trial index with
-    /// `set_trial`, and per-trial RNG streams are re-derived from the
-    /// scenario seed exactly as the unbatched engine path derives them, so
-    /// counters, telemetry fingerprint, and flight-recorder report are
-    /// bit-identical to running
-    /// [`trial_ber_streamed`](Self::trial_ber_streamed) once per trial — the
-    /// batch width only changes execution order. Zero steady-state heap
-    /// allocation once the scratch has warmed.
+    /// [`trial_ber_streamed`](Self::trial_ber_streamed) once per trial of
+    /// `trials`, each tagged with `set_trial(t)` and drawing its RNG from
+    /// `Rand::for_trial(scenario.seed, t)`. Kept only because `perfbench/`
+    /// still calls it; delete it together with that call.
     pub fn trial_batch_ber_streamed(
         &mut self,
         scenario: &LinkScenario,
         payload_len: usize,
         block_len: usize,
         trials: Range<u64>,
-        scratch: &mut BatchScratch,
+        _scratch: &mut BatchScratch,
         counter: &mut ErrorCounter,
     ) {
-        scratch.reset();
-
-        // Stage sweep 1: clean synthesis into the record lanes.
-        for t in trials.clone() {
+        for t in trials {
             uwb_obs::set_trial(t);
             let mut rng = Rand::for_trial(scenario.seed, t);
-            let mut clean = None;
-            let (tx_self, records) = (&mut *self, &mut scratch.records);
-            records.push_lane_with(|buf, _base| {
-                clean = Some(tx_self.synthesize_clean_streamed_append(
-                    scenario,
-                    payload_len,
-                    block_len,
-                    &mut rng,
-                    buf,
-                ));
-            });
-            scratch.clean.push(clean.expect("lane builder ran"));
-            let i = scratch.clean.len() - 1;
-            if scratch.payloads.len() <= i {
-                scratch.payloads.push(Vec::new());
-            }
-            scratch.payloads[i].clear();
-            scratch.payloads[i].extend_from_slice(&self.payload);
-        }
-
-        // Stage sweep 2: receiver noise (and the optional notch defense),
-        // replayed per lane from the RNG state captured at synthesis time.
-        for (i, t) in trials.clone().enumerate() {
-            uwb_obs::set_trial(t);
-            let n0 = scratch.clean[i].n0;
-            let awgn_rng = scratch.clean[i].awgn_rng.clone();
-            self.add_noise_and_notch(scenario, n0, awgn_rng, scratch.records.lane_mut(i));
-        }
-
-        // Stage sweep 3: AGC/ADC, each impaired lane digitized into the
-        // second arena.
-        for (i, t) in trials.clone().enumerate() {
-            uwb_obs::set_trial(t);
-            let _t = uwb_obs::span!("rx_agc_adc");
-            let BatchScratch {
-                records, digitized, ..
-            } = scratch;
-            let rx = &self.rx;
-            digitized.push_lane_with(|buf, _base| rx.digitize_append(records.lane(i), buf));
-        }
-
-        // Stage sweep 4: known-timing decode/count per trial.
-        for (i, t) in trials.enumerate() {
-            uwb_obs::set_trial(t);
-            let before = counter.errors;
-            self.payload.clear();
-            self.payload.extend_from_slice(&scratch.payloads[i]);
-            self.count_errors_predigitized(
-                &scenario.config,
-                scratch.digitized.lane(i),
-                scratch.clean[i].slot0_start,
-                counter,
-            );
-            uwb_obs::recorder::observe(counter.errors - before, 0);
+            self.trial_ber_streamed(scenario, payload_len, block_len, &mut rng, counter);
         }
     }
 }
@@ -875,15 +745,15 @@ pub fn run_ber_budgeted(
 }
 
 /// The known-timing BER runner: skips the acquisition packet path (several
-/// times faster; used for wide parameter sweeps). Every trial builds its
-/// impaired record `block_len` samples at a time (use
-/// [`DEFAULT_STREAM_BLOCK`] unless studying the block length), and each
-/// worker sweeps every DSP stage across `batch` consecutive trials
-/// ([`MonteCarlo::run_batched`]) before moving to the next stage.
+/// times faster; used for wide parameter sweeps). Every trial
+/// ([`LinkWorker::trial_ber_streamed`]) builds its impaired record
+/// `block_len` samples at a time (use [`DEFAULT_STREAM_BLOCK`] unless
+/// studying the block length).
 ///
-/// `batch` and `threads` override `UWB_BATCH` / `UWB_THREADS` when `Some`.
+/// `threads` overrides `UWB_THREADS` when `Some`; `_batch` is ignored
+/// (every in-repo caller passes `None`; `perfbench/` still passes it).
 /// Counters, telemetry fingerprint, and worst-trial report are
-/// bit-identical for any batch width, block length, and thread count.
+/// bit-identical for any block length and thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ber_fast_streamed_tuned(
     scenario: &LinkScenario,
@@ -892,19 +762,15 @@ pub fn run_ber_fast_streamed_tuned(
     target_errors: u64,
     max_bits: u64,
     budget: TrialBudget,
-    batch: Option<u64>,
+    _batch: Option<u64>,
     threads: Option<usize>,
 ) -> BerRun {
-    let batch = resolve_batch(batch);
     let mut mc = MonteCarlo::new(scenario.seed, budget.max_trials);
-    if threads.is_some() {
-        mc.threads = threads;
-    }
-    let out = mc.run_batched(
-        batch,
-        || (LinkWorker::new(scenario), BatchScratch::new()),
-        |(w, scratch): &mut (LinkWorker, BatchScratch), trials, acc: &mut ErrorCounter| {
-            w.trial_batch_ber_streamed(scenario, payload_len, block_len, trials, scratch, acc)
+    mc.threads = threads;
+    let out = mc.run(
+        || LinkWorker::new(scenario),
+        |w, _trial, rng, acc: &mut ErrorCounter| {
+            w.trial_ber_streamed(scenario, payload_len, block_len, rng, acc)
         },
         |acc| acc.errors >= target_errors || acc.total >= max_bits,
     );
@@ -942,7 +808,7 @@ mod tests {
         }
     }
 
-    /// The known-timing runner at the default block, batch and threads.
+    /// The known-timing runner at the default block and threads.
     fn fast(sc: &LinkScenario, payload_len: usize, target_errors: u64, max_bits: u64) -> BerRun {
         run_ber_fast_streamed_tuned(
             sc,
@@ -1144,73 +1010,6 @@ mod tests {
     fn channel_stats_over_zero_realizations_is_nan() {
         // No draws is not "no delay spread".
         assert!(channel_rms_delay_ns(ChannelModel::Cm3, 0, 7).is_nan());
-    }
-
-    #[test]
-    fn batched_ber_trials_match_unbatched_bitwise() {
-        // The stage-sweep path re-derives every trial's RNG stream and runs
-        // the exact same arithmetic as the one-trial-at-a-time streamed
-        // path, so the counter must agree bit-for-bit for every batch
-        // width — including on multipath.
-        for sc in [
-            LinkScenario::awgn(small_config(), 4.0, 41),
-            LinkScenario {
-                channel: ChannelModel::Cm1,
-                ..LinkScenario::awgn(small_config(), 8.0, 43)
-            },
-        ] {
-            let trials = 8u64;
-            let mut reference = ErrorCounter::default();
-            let mut w = LinkWorker::new(&sc);
-            for t in 0..trials {
-                let mut rng = Rand::for_trial(sc.seed, t);
-                w.trial_ber_streamed(&sc, 32, DEFAULT_STREAM_BLOCK, &mut rng, &mut reference);
-            }
-            for batch in [1u64, 2, 4, 8] {
-                let mut w = LinkWorker::new(&sc);
-                let mut scratch = BatchScratch::new();
-                let mut c = ErrorCounter::default();
-                let mut lo = 0;
-                while lo < trials {
-                    let hi = (lo + batch).min(trials);
-                    w.trial_batch_ber_streamed(
-                        &sc,
-                        32,
-                        DEFAULT_STREAM_BLOCK,
-                        lo..hi,
-                        &mut scratch,
-                        &mut c,
-                    );
-                    lo = hi;
-                }
-                assert_eq!(c, reference, "batch {batch} ({:?})", sc.channel);
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_runner_is_batch_width_invariant() {
-        // The engine-level contract: the runner returns the same counter
-        // and stop reason for every batch width.
-        let sc = LinkScenario::awgn(small_config(), 5.0, 47);
-        let run = |batch: u64| {
-            run_ber_fast_streamed_tuned(
-                &sc,
-                32,
-                DEFAULT_STREAM_BLOCK,
-                40,
-                60_000,
-                TrialBudget::default(),
-                Some(batch),
-                None,
-            )
-        };
-        let reference = run(1);
-        for batch in [2u64, 4, 8] {
-            let got = run(batch);
-            assert_eq!(got.counter, reference.counter, "batch {batch}");
-            assert_eq!(got.stop, reference.stop, "batch {batch}");
-        }
     }
 
     #[test]

@@ -42,14 +42,6 @@
 #                             delivered fraction and mean latency are
 #                             bit-deterministic pins, so any drift there
 #                             means MAC/PHY behavior changed)
-#   scripts/check.sh batch    batched-runtime gate: batch-width invariance
-#                             (B in {1,2,4,8} x threads in {1,2,4,8} must be
-#                             bit-identical — counters, stop reason,
-#                             telemetry fingerprint, flight-recorder
-#                             report), the platform batched-parity unit
-#                             tests, the allocation gate (covers the warm
-#                             batched trial), and the smoke binary under
-#                             UWB_BATCH=1 and UWB_BATCH=8
 #   scripts/check.sh perfbench
 #                             repository benchmark sanity: perfbench's own
 #                             unit tests, then a 1 s untraced run of each
@@ -59,7 +51,7 @@
 #                             of `all`: CI runs it as its own job
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             smoke, then obs, then stream, then net, then
-#                             mac, then batch
+#                             mac
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -149,19 +141,6 @@ mac() {
     UWB_THREADS=1 ./target/release/macbench --check BENCH_mac.json --tol "$tol"
 }
 
-batch() {
-    echo "== batch: batch-width x thread-count invariance =="
-    cargo test -q --release --test batch_parity
-    echo "== batch: platform batched stage-sweep parity units =="
-    cargo test -q --release -p uwb-platform batched
-    echo "== batch: zero-allocation warm batched trial =="
-    cargo test -q --release --test alloc_regression
-    echo "== batch: smoke at UWB_BATCH=1 and UWB_BATCH=8 =="
-    cargo build --release -p uwb-bench --bin smoke
-    UWB_BATCH=1 ./target/release/smoke
-    UWB_BATCH=8 ./target/release/smoke
-}
-
 perfbench() {
     local manifest=perfbench/Cargo.toml
     # Build (and write traces) outside the benchmark's own directory.
@@ -209,9 +188,6 @@ net)
 mac)
     mac
     ;;
-batch)
-    batch
-    ;;
 perfbench)
     perfbench
     ;;
@@ -224,10 +200,9 @@ all)
     stream
     net
     mac
-    batch
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|smoke|bench|obs|stream|net|mac|batch|perfbench|all]" >&2
+    echo "usage: scripts/check.sh [tier1|smoke|bench|obs|stream|net|mac|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use uwb_net::{plan_network, NetAccumulator, NetScenario, NetWorker};
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker};
+use uwb_platform::link::{LinkScenario, LinkWorker};
 use uwb_platform::ErrorCounter;
 use uwb_sim::{ChannelModel, Rand};
 
@@ -154,45 +154,6 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
         CM3_TRIALS.end - CM3_TRIALS.start
     );
     assert!(cm3_counter.total > 0, "CM3 trials produced no bits");
-
-    // --- Batched stage-sweep path: same contract, 8 trials per batch. ---
-    // The batch arenas, payload snapshots, and synthesis-metadata vectors
-    // all ratchet to their high-water capacity during warm-up; warm batches
-    // must add zero allocations.
-    const BATCH: u64 = 8;
-    let mut scratch = BatchScratch::new();
-    for b in 0..3 {
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            BLOCK,
-            b * BATCH..(b + 1) * BATCH,
-            &mut scratch,
-            &mut counter,
-        );
-    }
-
-    let before = thread_allocs();
-    for b in 0..25 {
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            BLOCK,
-            b * BATCH..(b + 1) * BATCH,
-            &mut scratch,
-            &mut counter,
-        );
-    }
-    let after = thread_allocs();
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batched trials must not allocate ({} allocations \
-         across 25 batches of {})",
-        after - before,
-        BATCH
-    );
 
     // --- Network warm path: a 2-link co-channel piconet round must also
     //     be allocation-free. Each round runs two full clean syntheses,

@@ -27,8 +27,8 @@ fn scenario() -> LinkScenario {
     LinkScenario::awgn(config, 6.0, SEED)
 }
 
-/// The known-timing BER runner on 24-byte payloads at the default block and
-/// batch width; the thread count comes from `UWB_THREADS`.
+/// The known-timing BER runner on 24-byte payloads at the default block;
+/// the thread count comes from `UWB_THREADS`.
 fn fast_run(sc: &LinkScenario, target_errors: u64, max_bits: u64, budget: TrialBudget) -> BerRun {
     run_ber_fast_streamed_tuned(
         sc,
@@ -160,6 +160,68 @@ fn link_runners_agree_and_are_thread_invariant() {
         );
         assert_eq!(threaded.stop, serial.stop);
         assert_eq!(threaded.stats.trials, serial.stats.trials);
+    }
+}
+
+/// The fast runner's whole observable surface — BER counter, stop reason,
+/// trial count, telemetry fingerprint, deterministic telemetry JSON and the
+/// rendered worst-trial report — is bit-identical at 1, 2, 4 and 8 worker
+/// threads. Every trial derives its RNG from `derive_trial_seed(master, t)`
+/// and chunk results merge in trial order, so scheduling cannot leak into
+/// any output.
+#[test]
+fn fast_runner_is_bit_identical_across_thread_counts() {
+    let run = |threads: usize| {
+        run_ber_fast_streamed_tuned(
+            &scenario(),
+            24,
+            DEFAULT_STREAM_BLOCK,
+            12,
+            80_000,
+            TrialBudget { max_trials: 400 },
+            None,
+            Some(threads),
+        )
+    };
+    let reference = run(1);
+    assert!(
+        !reference.stop.truncated(),
+        "the reference run must reach its error target inside the budget"
+    );
+    assert!(
+        reference.counter.errors >= 12,
+        "reference run found no errors"
+    );
+    for threads in [2usize, 4, 8] {
+        let got = run(threads);
+        let tag = format!("{threads} threads");
+        assert_eq!(
+            got.counter, reference.counter,
+            "BER counter differs ({tag})"
+        );
+        assert_eq!(got.stop, reference.stop, "stop reason differs ({tag})");
+        assert_eq!(
+            got.stats.trials, reference.stats.trials,
+            "trial count differs ({tag})"
+        );
+        assert_eq!(
+            got.stats.telemetry.fingerprint(),
+            reference.stats.telemetry.fingerprint(),
+            "telemetry fingerprint differs ({tag})"
+        );
+        assert_eq!(
+            got.stats.telemetry.to_json_deterministic(),
+            reference.stats.telemetry.to_json_deterministic(),
+            "deterministic telemetry JSON differs ({tag})"
+        );
+        assert_eq!(
+            uwb_obs::recorder::render_report(&got.stats.telemetry.worst),
+            uwb_obs::recorder::render_report(&reference.stats.telemetry.worst),
+            "flight-recorder report differs ({tag})"
+        );
+    }
+    if uwb_obs::enabled() {
+        assert!(!reference.stats.telemetry.worst.is_empty());
     }
 }
 

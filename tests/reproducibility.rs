@@ -9,8 +9,8 @@ use uwb::platform::link::{
 };
 use uwb::sim::{ChannelModel, ChannelRealization, Interferer, Rand};
 
-/// A known-timing BER run of 24-byte payloads at the default block, batch
-/// and thread count.
+/// A known-timing BER run of 24-byte payloads at the default block and
+/// thread count.
 fn fast_run(scenario: &LinkScenario, target_errors: u64, max_bits: u64) -> BerRun {
     run_ber_fast_streamed_tuned(
         scenario,
