@@ -48,19 +48,16 @@ thread_local! {
 /// Diagnostics only: the plan-cache regression tests snapshot this counter
 /// before and after a batch of steady-state work to prove plans are built at
 /// most once per (worker thread, size). The count has the plan cache's
-/// scope — one thread — so tests running in parallel cannot disturb it. The
-/// process-wide total is the `uwb_obs` counter `fft_plans_built`.
+/// scope — one thread — so tests running in parallel cannot disturb it.
 pub fn fft_plans_built() -> u64 {
     PLANS_BUILT.with(Cell::get)
 }
 
-/// Records a plan construction in this thread's count and the process-wide
-/// telemetry counter (shared with the f32 acquisition FFT in
-/// [`crate::fft32`] so the plan-cache regression tests cover both
-/// precisions).
+/// Records a plan construction in this thread's count (shared with the f32
+/// acquisition FFT in [`crate::fft32`] so the plan-cache regression tests
+/// cover both precisions).
 pub(crate) fn note_plan_built() {
     PLANS_BUILT.with(|c| c.set(c.get() + 1));
-    uwb_obs::counter!("fft_plans_built").inc();
 }
 
 /// Planned FFT of a fixed power-of-two size.

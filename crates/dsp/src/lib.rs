@@ -64,6 +64,6 @@ pub use goertzel::Goertzel;
 pub use fir::{FirFilter, StreamingFir};
 pub use iir::{Biquad, BiquadCascade};
 pub use nco::Nco;
-pub use stream::{BlockProcessor, Chain};
+pub use stream::BlockProcessor;
 pub use psd::Psd;
 pub use window::Window;

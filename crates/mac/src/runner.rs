@@ -542,8 +542,11 @@ impl MacWorker {
                     }
                 }
             }
+        }
+        {
             // Receiver noise last, from the RNG state the single-link path
             // would hold.
+            let _t = uwb_obs::span!("awgn");
             let mut awgn = uwb_sim::stream::StreamingAwgn::new(n0, awgn_rng);
             uwb_dsp::stream::BlockProcessor::process_block(
                 &mut awgn,

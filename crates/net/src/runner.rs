@@ -134,6 +134,8 @@ impl Merge for NetAccumulator {
 /// scratch), while the per-round waveforms live in the arena and the
 /// per-link payload snapshots in `payloads`. A 10 000-link network on a
 /// round-robin policy therefore costs 14 workers, not 10 000.
+///
+/// [`LinkWorker`]: uwb_platform::link::LinkWorker
 pub struct NetWorker {
     pool: crate::pool::WorkerPool,
     schedule: RecordSchedule,
@@ -201,11 +203,11 @@ impl NetWorker {
     ///
     /// Victims are processed in ascending order. Per victim: materialize
     /// the records its coupling row needs (`net_schedule`, lazy, shared),
-    /// mix own + coupled foreign records + calibrated AWGN in fixed
-    /// ascending-transmitter order (`net_mix`), decode and count
-    /// (`net_rx`), then recycle every record this victim read last. An
-    /// isolated victim takes its noise in place on its own record and
-    /// never touches the mix buffer.
+    /// mix own + coupled foreign records in fixed ascending-transmitter
+    /// order (`net_mix`), add calibrated receiver noise (`awgn`), decode and
+    /// count (`net_rx`), then recycle every record this victim read last.
+    /// An isolated victim takes its noise in place on its own record and
+    /// never touches the mix buffer (no `net_mix` span).
     pub fn round(&mut self, plan: &NetPlan, round: u64, acc: &mut NetAccumulator) {
         let n = plan.len();
         acc.ensure_len(n);
@@ -251,7 +253,7 @@ impl NetWorker {
                 // the slot. Identical sample values to the general path
                 // (copy + noise), minus the copy.
                 {
-                    let _t = uwb_obs::span!("net_mix");
+                    let _t = uwb_obs::span!("awgn");
                     let mut awgn = StreamingAwgn::new(n0, awgn_rng);
                     uwb_dsp::stream::BlockProcessor::process_block(
                         &mut awgn,
@@ -277,9 +279,12 @@ impl NetWorker {
                     for &(u, gain) in row {
                         accumulate_scaled(&mut self.mixed, self.arena.record(u), gain);
                     }
+                }
+                {
                     // Receiver noise last, from the RNG state the single-link
                     // path would hold — an uncoupled link is bit-identical to
                     // an isolated streamed run.
+                    let _t = uwb_obs::span!("awgn");
                     let mut awgn = StreamingAwgn::new(n0, awgn_rng);
                     uwb_dsp::stream::BlockProcessor::process_block(
                         &mut awgn,

@@ -73,8 +73,8 @@ thread_local! {
 // Trial tagging
 // ---------------------------------------------------------------------------
 
-/// Tags subsequent events on this thread with the given Monte-Carlo trial
-/// index (shows up in the ring buffer entries).
+/// Tags subsequent spans on this thread with the given Monte-Carlo trial
+/// index (shows up in the span-timeline records).
 #[cfg(feature = "obs")]
 #[inline]
 pub fn set_trial(trial: u64) {
@@ -181,29 +181,28 @@ impl Drop for StageTimer {
 // Event / histogram recording (called from the macros)
 // ---------------------------------------------------------------------------
 
-/// Bumps the per-thread count for the event and pushes a trial-tagged entry
-/// onto the global ring buffer. Called by [`crate::event!`]; not public API.
+/// Bumps the per-thread count for the event and appends a breadcrumb to
+/// the flight recorder's in-flight trial. Called by [`crate::event!`]; not
+/// public API.
 #[cfg(feature = "obs")]
 #[doc(hidden)]
 #[inline]
-pub fn record_event(id: EventId, name: &'static str, value: u64) {
+pub fn record_event(id: EventId, value: u64) {
     if id == EventId::NONE {
         return;
     }
-    let trial = TLS.with(|c| {
+    TLS.with(|c| {
         let i = id.0 as usize;
         c.events[i].set(c.events[i].get() + 1);
-        c.trial.get()
     });
     crate::recorder::crumb(id.0, value);
-    crate::ring::push(name, trial, value);
 }
 
 /// No-op (`obs` feature off).
 #[cfg(not(feature = "obs"))]
 #[doc(hidden)]
 #[inline(always)]
-pub fn record_event(_id: EventId, _name: &'static str, _value: u64) {}
+pub fn record_event(_id: EventId, _value: u64) {}
 
 /// Records `value` into the histogram's per-thread log2 bins. Called by
 /// [`crate::hist!`]; not public API.

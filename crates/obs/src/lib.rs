@@ -11,11 +11,13 @@
 //!   accumulators with preallocated per-thread slots (zero heap allocation
 //!   on the warm path);
 //! * **events** — [`event!`]: deterministic per-thread counts of rare
-//!   happenings (acquisition miss, CRC failure, notch retune) plus a
-//!   bounded global ring buffer of the most recent occurrences, tagged with
-//!   the Monte-Carlo trial that produced them;
+//!   happenings (acquisition miss, CRC failure, notch retune), also left as
+//!   breadcrumbs on the flight recorder's in-flight trial;
 //! * **histograms** — [`hist!`]: fixed-bin log2 histograms of deterministic
-//!   per-trial quantities (bit errors per trial, acquisition offsets);
+//!   per-trial quantities (bit errors per trial, acquisition offsets). A
+//!   histogram doubles as an exact **work counter**: its `count` is the
+//!   number of calls and its `sum` the total work (e.g. `acq_lags`,
+//!   `chanest_chip_adds` — correlator lags and chip-stage adds);
 //! * **percentile digests** — [`digest!`]: fixed log-linear (HDR-style)
 //!   histograms with deterministic p50/p95/p99/max extraction
 //!   ([`telemetry::DigestStat::quantile`]), surfaced as the `"quantiles"`
@@ -27,13 +29,12 @@
 //! * **flight recorder** — [`recorder`]: a bounded deterministic ring of the
 //!   K worst trials with forensic snapshots (trial seed for replay, [`note!`]
 //!   values, event breadcrumbs), thread-count-invariant by construction;
-//! * **sharded counters / gauges** — [`counter!`] / [`gauge!`]: process-wide
-//!   registry metrics with per-thread shards, merged in deterministic shard
-//!   order (u64 wrapping addition, so the merged value is order-independent
-//!   anyway — the fixed order mirrors the Monte-Carlo merge contract);
 //! * **snapshots** — [`Telemetry`]: a mergeable, JSON-renderable snapshot of
 //!   a thread's stage/event/histogram state, drained per Monte-Carlo chunk
 //!   and merged in deterministic chunk order by `uwb_sim::montecarlo`.
+//!   Every quantity a run measures lives here: there is no process-wide
+//!   side channel, so a run's `RunStats::telemetry` holds exactly that
+//!   run's counts.
 //!
 //! ## The `obs` feature
 //!
@@ -89,7 +90,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counter;
 pub mod json;
 pub mod recorder;
 pub mod telemetry;
@@ -97,18 +97,14 @@ pub mod trace;
 
 mod collect;
 mod registry;
-mod ring;
 
 pub use collect::{current_trial, set_trial, take_thread_telemetry, StageTimer};
 #[doc(hidden)]
 pub use collect::{record_digest, record_event, record_hist};
-pub use counter::{Gauge, ShardedCounter, COUNTER_SHARDS};
 pub use registry::{
-    register_counter, register_digest, register_event, register_gauge, register_hist,
-    register_note, register_stage, registered_counters, registered_gauges, DigestId, EventId,
-    GaugeId, HistId, NoteId, StageId, MAX_DIGESTS, MAX_EVENTS, MAX_HISTS, MAX_NOTES, MAX_STAGES,
+    register_digest, register_event, register_hist, register_note, register_stage, DigestId,
+    EventId, HistId, NoteId, StageId, MAX_DIGESTS, MAX_EVENTS, MAX_HISTS, MAX_NOTES, MAX_STAGES,
 };
-pub use ring::{clear_events, recent_events, Event, RING_CAP};
 pub use telemetry::{
     DigestStat, EventStat, HistStat, StageStat, Telemetry, DIGEST_BINS, HIST_BINS,
 };
@@ -150,8 +146,8 @@ macro_rules! span {
 }
 
 /// Records one occurrence of a named rare event (optionally with a `u64`
-/// payload): bumps the deterministic per-thread count and pushes a
-/// trial-tagged entry onto the bounded global ring buffer.
+/// payload): bumps the deterministic per-thread count and appends a
+/// breadcrumb to the flight recorder's in-flight trial.
 ///
 /// ```
 /// uwb_obs::event!("acq_miss");
@@ -167,7 +163,7 @@ macro_rules! event {
         static __UWB_OBS_EVENT: ::std::sync::OnceLock<$crate::EventId> =
             ::std::sync::OnceLock::new();
         let __id = *__UWB_OBS_EVENT.get_or_init(|| $crate::register_event($name));
-        $crate::record_event(__id, $name, $value);
+        $crate::record_event(__id, $value);
     }};
 }
 
@@ -185,9 +181,11 @@ macro_rules! event {
 
 /// Records a `u64` sample into the named fixed-bin log2 histogram
 /// (bin 0 holds zeros; bin *k* holds values with *k* significant bits).
+/// The histogram's `count` and exact `sum` make it a work counter too.
 ///
 /// ```
 /// uwb_obs::hist!("trial_bit_errors", 3u64);
+/// uwb_obs::hist!("acq_lags", 1_278u64); // one call, 1,278 lags of work
 /// ```
 #[cfg(feature = "obs")]
 #[macro_export]
@@ -261,56 +259,5 @@ macro_rules! note {
 macro_rules! note {
     ($name:expr, $value:expr) => {{
         let _ = (&$name, &$value);
-    }};
-}
-
-/// Resolves (registering on first use) a named process-wide
-/// [`ShardedCounter`] from the static registry.
-///
-/// ```
-/// uwb_obs::counter!("fft_plans_built").add(1);
-/// ```
-#[cfg(feature = "obs")]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        static __UWB_OBS_CTR: ::std::sync::OnceLock<&'static $crate::ShardedCounter> =
-            ::std::sync::OnceLock::new();
-        *__UWB_OBS_CTR.get_or_init(|| $crate::register_counter($name))
-    }};
-}
-
-/// No-op form (`obs` feature off): a shared dead counter.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        let _ = &$name;
-        &$crate::counter::NOOP_COUNTER
-    }};
-}
-
-/// Resolves (registering on first use) a named process-wide [`Gauge`].
-///
-/// ```
-/// uwb_obs::gauge!("agc_gain_milli").set(1287);
-/// ```
-#[cfg(feature = "obs")]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static __UWB_OBS_GAUGE: ::std::sync::OnceLock<&'static $crate::Gauge> =
-            ::std::sync::OnceLock::new();
-        *__UWB_OBS_GAUGE.get_or_init(|| $crate::register_gauge($name))
-    }};
-}
-
-/// No-op form (`obs` feature off): a shared dead gauge.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        let _ = &$name;
-        &$crate::counter::NOOP_GAUGE
     }};
 }

@@ -1,14 +1,13 @@
-//! Static registry of stages, events, histograms, counters, and gauges.
+//! Static registry of stage, event, histogram, digest and note names.
 //!
 //! Registration is idempotent by name and happens once per call site (the
 //! macros cache the returned id in a `OnceLock`), so it is a cold-path
 //! concern: the warm path only ever touches preallocated per-thread slots
 //! indexed by these ids. Capacities are fixed ([`MAX_STAGES`],
-//! [`MAX_EVENTS`], [`MAX_HISTS`]); registrations past the cap return the
-//! `NONE` sentinel and are silently dropped rather than panicking inside an
-//! instrumented library.
+//! [`MAX_EVENTS`], [`MAX_HISTS`], [`MAX_DIGESTS`], [`MAX_NOTES`]);
+//! registrations past the cap return the `NONE` sentinel and are silently
+//! dropped rather than panicking inside an instrumented library.
 
-use crate::counter::{Gauge, ShardedCounter};
 use std::sync::Mutex;
 
 /// Maximum number of distinct stage names.
@@ -33,10 +32,6 @@ pub struct EventId(pub(crate) u16);
 /// Identifies a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistId(pub(crate) u16);
-
-/// Identifies a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaugeId(pub(crate) u16);
 
 /// Identifies a registered percentile digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,8 +73,6 @@ struct Registry {
     hists: Vec<&'static str>,
     digests: Vec<&'static str>,
     notes: Vec<&'static str>,
-    counters: Vec<(&'static str, &'static ShardedCounter)>,
-    gauges: Vec<(&'static str, &'static Gauge)>,
 }
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
@@ -88,8 +81,6 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     hists: Vec::new(),
     digests: Vec::new(),
     notes: Vec::new(),
-    counters: Vec::new(),
-    gauges: Vec::new(),
 });
 
 fn intern(list: &mut Vec<&'static str>, cap: usize, name: &'static str) -> Option<u16> {
@@ -131,50 +122,6 @@ pub fn register_digest(name: &'static str) -> DigestId {
 pub fn register_note(name: &'static str) -> NoteId {
     let mut reg = REGISTRY.lock().expect("obs registry poisoned");
     intern(&mut reg.notes, MAX_NOTES, name).map_or(NoteId::NONE, NoteId)
-}
-
-/// Registers (or looks up) a process-wide sharded counter by name.
-///
-/// The counter is leaked once on first registration and lives for the rest
-/// of the process — exactly like a `static`, but nameable at runtime.
-pub fn register_counter(name: &'static str) -> &'static ShardedCounter {
-    let mut reg = REGISTRY.lock().expect("obs registry poisoned");
-    if let Some((_, c)) = reg.counters.iter().find(|(n, _)| *n == name) {
-        return c;
-    }
-    let c: &'static ShardedCounter = Box::leak(Box::new(ShardedCounter::new()));
-    reg.counters.push((name, c));
-    c
-}
-
-/// Registers (or looks up) a process-wide gauge by name.
-pub fn register_gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = REGISTRY.lock().expect("obs registry poisoned");
-    if let Some((_, g)) = reg.gauges.iter().find(|(n, _)| *n == name) {
-        return g;
-    }
-    let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-    reg.gauges.push((name, g));
-    g
-}
-
-/// Snapshot of every registered counter as `(name, merged value)` rows,
-/// sorted by name (shards summed in fixed shard order).
-pub fn registered_counters() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().expect("obs registry poisoned");
-    let mut rows: Vec<(&'static str, u64)> =
-        reg.counters.iter().map(|(n, c)| (*n, c.get())).collect();
-    rows.sort_unstable_by_key(|(n, _)| *n);
-    rows
-}
-
-/// Snapshot of every registered gauge as `(name, value)` rows, sorted by
-/// name.
-pub fn registered_gauges() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().expect("obs registry poisoned");
-    let mut rows: Vec<(&'static str, u64)> = reg.gauges.iter().map(|(n, g)| (*n, g.get())).collect();
-    rows.sort_unstable_by_key(|(n, _)| *n);
-    rows
 }
 
 /// Names of all registered stages, indexed by [`StageId`].
@@ -223,19 +170,5 @@ mod tests {
         let h1 = register_hist("reg_test_hist");
         let h2 = register_hist("reg_test_hist");
         assert_eq!(h1, h2);
-    }
-
-    #[test]
-    fn counters_and_gauges_are_shared_by_name() {
-        let c1 = register_counter("reg_test_ctr");
-        let c2 = register_counter("reg_test_ctr");
-        assert!(std::ptr::eq(c1, c2));
-        c1.add(3);
-        assert!(registered_counters()
-            .iter()
-            .any(|(n, v)| *n == "reg_test_ctr" && (*v >= 3 || !crate::enabled())));
-        let g1 = register_gauge("reg_test_gauge");
-        let g2 = register_gauge("reg_test_gauge");
-        assert!(std::ptr::eq(g1, g2));
     }
 }

@@ -323,6 +323,12 @@ impl Telemetry {
         self.stages.iter().find(|s| s.name == name)
     }
 
+    /// Histogram statistics for a named histogram, if recorded. For a work
+    /// counter, `count` is the number of calls and `sum` the work total.
+    pub fn hist(&self, name: &str) -> Option<&HistStat> {
+        self.hists.iter().find(|h| h.name == name)
+    }
+
     /// Renders the snapshot as hand-rolled JSON (no serde), **including**
     /// the wall-clock `ns` fields. Shape:
     ///

@@ -112,8 +112,8 @@ impl CoarseAcquisition {
         let n_phases = search_len.min(max_phase + 1);
         let mut outputs = scratch.take_complex(n_phases);
         let lags = correlator.correlate_into(signal, &mut outputs, scratch);
-        uwb_obs::counter!("acq_lags").add(lags as u64);
-        uwb_obs::counter!("acq_chip_adds").add(correlator.chip_adds(lags));
+        uwb_obs::hist!("acq_lags", lags as u64);
+        uwb_obs::hist!("acq_chip_adds", correlator.chip_adds(lags));
         let stats = self.bank.stats(n_phases);
         let (offset, metric) = self.peak(signal, &outputs);
         scratch.put_complex(outputs);

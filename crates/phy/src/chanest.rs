@@ -213,8 +213,8 @@ pub fn estimate_cir_into(
     }
     scratch.put_complex(per_period);
     let lags = used_periods * window;
-    uwb_obs::counter!("chanest_lags").add(lags as u64);
-    uwb_obs::counter!("chanest_chip_adds").add(correlator.chip_adds(lags));
+    uwb_obs::hist!("chanest_lags", lags as u64);
+    uwb_obs::hist!("chanest_chip_adds", correlator.chip_adds(lags));
     let scale = 1.0 / (used_periods.max(1) as f64 * correlator.energy());
     for tap in taps.iter_mut() {
         *tap = *tap * scale;

@@ -81,7 +81,7 @@ impl Gen2Transmitter {
     ///
     /// # Errors
     ///
-    /// Propagates framing errors from [`build_frame`].
+    /// Propagates framing errors from [`build_frame`](crate::packet::build_frame).
     pub fn transmit_packet(&self, payload: &[u8]) -> Result<Burst, PhyError> {
         let mut burst = Burst {
             samples: Vec::new(),

@@ -17,6 +17,8 @@
 //!   phase and lowpass cascade state carried. Real passband in, complex
 //!   baseband out (not a `BlockProcessor`, which is complex-to-complex);
 //!   bit-identical to [`DirectConversionRx::downconvert`] on one record.
+//!
+//! [`DirectConversionRx::downconvert`]: crate::downconvert::DirectConversionRx::downconvert
 
 use crate::agc::Agc;
 use crate::lo::LocalOscillator;
@@ -127,10 +129,6 @@ impl BlockProcessor for StreamingNotch {
             self.tune(center);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "notch"
-    }
 }
 
 /// Causal windowed AGC: accumulates input power over fixed `window`-sample
@@ -211,10 +209,6 @@ impl BlockProcessor for StreamingAgc {
         self.acc = 0.0;
         self.count = 0;
     }
-
-    fn name(&self) -> &'static str {
-        "rx_agc"
-    }
 }
 
 /// Streaming zero-IF downconverter: carried LO phase and lowpass cascade
@@ -224,6 +218,8 @@ impl BlockProcessor for StreamingAgc {
 /// Constructed with the same parameters, one record pushed through block by
 /// block is bit-identical to [`DirectConversionRx::downconvert`] on the
 /// whole record (same per-sample arithmetic, same phase-noise draw order).
+///
+/// [`DirectConversionRx::downconvert`]: crate::downconvert::DirectConversionRx::downconvert
 #[derive(Debug, Clone)]
 pub struct StreamingDownconverter {
     lo: LocalOscillator,
@@ -266,6 +262,8 @@ impl StreamingDownconverter {
 
     /// The defaults of [`DirectConversionRx::new`] for a 500 MHz channel at
     /// `carrier`: ideal LO, 280 MHz lowpass, 3 biquad sections.
+    ///
+    /// [`DirectConversionRx::new`]: crate::downconvert::DirectConversionRx::new
     pub fn for_channel(carrier: Hertz, fs: SampleRate) -> Self {
         StreamingDownconverter::new(
             LocalOscillator::ideal(carrier),

@@ -390,8 +390,8 @@ impl MonteCarlo {
         };
         let mut telemetry = red.telemetry;
         if stop_reason.truncated() {
-            // Truncation is itself a reportable rare event: record it (ring
-            // buffer + count) and fold the record into the run snapshot.
+            // Truncation is itself a reportable rare event: count it and
+            // fold the count into the run snapshot.
             // Emitted on the coordinating thread after the workers joined,
             // so it is deterministic for any thread count.
             uwb_obs::set_trial(trials.saturating_sub(1));

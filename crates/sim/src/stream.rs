@@ -214,10 +214,6 @@ impl BlockProcessor for StreamingChannel {
             *z = Complex::ZERO;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "channel"
-    }
 }
 
 /// Streaming AWGN source: adds circularly-symmetric complex noise of total
@@ -280,10 +276,6 @@ impl BlockProcessor for StreamingAwgn {
 
     fn reset(&mut self) {
         self.rng = self.initial.clone();
-    }
-
-    fn name(&self) -> &'static str {
-        "awgn"
     }
 }
 
@@ -440,10 +432,6 @@ impl BlockProcessor for StreamingInterferer {
                 *idx = 0;
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "interferer"
     }
 }
 

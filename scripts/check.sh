@@ -11,8 +11,10 @@
 #                             but informational — see EXPERIMENTS.md)
 #   scripts/check.sh obs      observability gate: builds the workspace with
 #                             AND without the obs feature, clippy with
-#                             -D warnings, the allocation-regression tests
-#                             with telemetry enabled AND with span timelines
+#                             -D warnings, rustdoc with -D warnings (a
+#                             broken intra-doc link fails), the
+#                             allocation-regression tests with telemetry
+#                             enabled AND with span timelines
 #                             on (`obs-trace`; the warm path must stay at
 #                             zero heap allocations in both), trace/recorder
 #                             thread-determinism in both feature configs,
@@ -85,6 +87,8 @@ obs() {
     echo "== obs: clippy -D warnings (both configurations) =="
     cargo clippy -q --workspace -- -D warnings
     cargo clippy -q --workspace --no-default-features -- -D warnings
+    echo "== obs: rustdoc -D warnings (intra-doc links resolve) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
     echo "== obs: zero-allocation warm path with telemetry enabled =="
     cargo test -q --test alloc_regression
     echo "== obs: zero-allocation warm path with span timelines on =="

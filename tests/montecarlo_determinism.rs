@@ -306,6 +306,15 @@ fn network_run_is_thread_invariant_including_telemetry() {
     let mut sc = uwb_net::NetScenario::ring(8, 7.0, SEED ^ 0xA3);
     sc.rounds = 12;
     let plan = uwb_net::plan_network(&sc);
+    // A victim mixes into a copy unless its coupling row is empty and no
+    // later victim reads its record (then it takes its noise in place).
+    let rows = &plan.coupling;
+    let copies = (0..sc.len())
+        .filter(|&v| {
+            !rows[v].is_empty() || rows[v + 1..].iter().any(|r| r.iter().any(|&(u, _)| u == v))
+        })
+        .count() as u64;
+    assert!(copies > 0, "the ring must exercise the mixing path");
 
     let serial = uwb_net::run_plan_threads(plan.clone(), 1);
     let threaded = uwb_net::run_plan_threads(plan, 8);
@@ -338,13 +347,14 @@ fn network_run_is_thread_invariant_including_telemetry() {
         let telem = &serial.stats.telemetry;
         assert!(!telem.is_empty(), "instrumented network run yielded no telemetry");
         // One scheduling span per lazy record synthesis (every link
-        // transmits once per round); one mix + one reception per link per
-        // round.
+        // transmits once per round); one noise pass + one reception per link
+        // per round; one mix per reception that copies.
         let rounds = serial.stats.trials;
         let n = sc.len() as u64;
         for (stage, expect) in [
             ("net_schedule", rounds * n),
-            ("net_mix", rounds * n),
+            ("net_mix", rounds * copies),
+            ("awgn", rounds * n),
             ("net_rx", rounds * n),
         ] {
             let st = telem
